@@ -173,7 +173,7 @@ def bench_tailer_full_poll():
     if not os.path.exists(path):
         with WorldLog.create(path, run_id="bench") as log:
             for index in range(TAIL_RECORDS):
-                log.append("trend.point", {"i": index})
+                log.append("bench.point", {"i": index})
     records = LogTailer(path).poll()
     assert len(records) == TAIL_RECORDS + 1  # + log.open header
     return records

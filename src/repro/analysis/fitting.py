@@ -10,10 +10,9 @@ benches assert ``k ≈ 2`` (or more) for bound-respecting protocols and
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.analysis.complexity import SweepPoint
 
@@ -54,8 +53,9 @@ def fit_power_law(
     fits the degenerate law ``0 · t^0``.
 
     Raises:
-        ValueError: on mismatched lengths or fewer than two usable points
-            (and not the all-zero degenerate case).
+        ValueError: on mismatched lengths, fewer than two usable points
+            (and not the all-zero degenerate case), or usable points
+            that all share one ``t``.
     """
     if len(ts) != len(messages):
         raise ValueError("ts and messages must have equal length")
@@ -70,12 +70,19 @@ def fit_power_law(
         raise ValueError(
             "need at least two non-zero samples for a power-law fit"
         )
-    log_t = np.log([t for t, _ in usable])
-    log_m = np.log([m for _, m in usable])
-    slope, intercept = np.polyfit(log_t, log_m, 1)
-    predicted = slope * log_t + intercept
-    residual = float(np.sum((log_m - predicted) ** 2))
-    total = float(np.sum((log_m - np.mean(log_m)) ** 2))
+    log_t = [math.log(t) for t, _ in usable]
+    log_m = [math.log(m) for _, m in usable]
+    try:
+        slope, intercept = statistics.linear_regression(log_t, log_m)
+    except statistics.StatisticsError as exc:
+        raise ValueError(
+            "need at least two distinct t values for a power-law fit"
+        ) from exc
+    mean = statistics.fmean(log_m)
+    residual = sum(
+        (m - (slope * t + intercept)) ** 2 for t, m in zip(log_t, log_m)
+    )
+    total = sum((m - mean) ** 2 for m in log_m)
     r_squared = 1.0 if total == 0 else 1.0 - residual / total
     return PowerLawFit(
         exponent=float(slope),

@@ -11,21 +11,18 @@ Subcommands:
 * ``verify-cert`` — independently verify saved certificate artifacts;
   exit 1 with the first violated condition named on rejection.
 * ``classify`` — classify a named standard problem at ``(n, t)``.
-* ``trace`` — render a persisted run recording (legacy ledger JSONL or
-  world log, sniffed) as a phase-tree timeline.
-* ``report --trend`` — append a canary perf point to the trend store
-  (legacy ``trend.jsonl`` or a world log) and diff it against the
-  previous point.
-* ``log show`` / ``log derive`` / ``log import`` / ``log resume`` —
-  the world-log toolbox: list an append-only record store (with
-  ``--kind/--cell/--run/--tail`` filters), re-derive the legacy
-  artifact views from it, fold legacy files into a fresh log, and
-  finish an interrupted sweep from its recorded plan.
+* ``trace`` — render a run recording (the world log written via
+  ``--ledger``) as a phase-tree timeline.
+* ``log show`` / ``log derive`` / ``log resume`` — the world-log
+  toolbox: list an append-only record store (with
+  ``--kind/--cell/--run/--tail`` filters), derive the certificate,
+  bench and jobs artifact files from it, and finish an interrupted
+  sweep from its recorded plan.
 * ``log replay`` / ``log diff`` / ``log stats`` — time travel: step a
   past run record-by-record (``--at TICK`` one-shot or stdin-driven),
   semantically diff two logs of the same matrix (key-aligned, timing
   ignored; exit 1 at the first real divergence), and extract new
-  metrics from old logs as trend-shaped JSON.
+  metrics from old logs as one JSON document.
 * ``bench run`` / ``bench compare`` / ``bench list`` — the benchmark
   observatory: measure registered kernels outside pytest, append the
   points to per-suite ``BENCH_<suite>.json`` trajectories, and gate
@@ -43,7 +40,8 @@ sweep progress, "written to" notices, rejection details, errors) go to
 stderr, so piped output stays clean.  Every failure path exits nonzero:
 ``1`` for domain failures (violated expectations, rejected artifacts,
 sweep-cell errors, flagged bench regressions), ``2`` for environment
-failures (unreadable, unwritable or malformed files).
+failures (unreadable, unwritable or malformed files, and ``--n/--t``
+outside ``2 <= t < n``).
 """
 
 from __future__ import annotations
@@ -155,10 +153,9 @@ def _ledger_option(subparser: argparse.ArgumentParser) -> None:
         "--ledger",
         metavar="PATH",
         help=(
-            "record the run to PATH: a '*.worldlog' suffix writes the "
-            "append-only world log (render with 'repro trace', derive "
-            "artifacts with 'repro log derive'); any other suffix "
-            "writes the legacy event-ledger JSONL"
+            "record the run to PATH as an append-only world log "
+            "(render with 'repro trace', derive artifacts with "
+            "'repro log derive')"
         ),
     )
 
@@ -387,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         "log",
         help=(
             "operate on append-only world logs: show records, derive "
-            "the legacy artifact views, import legacy files, resume "
-            "an interrupted sweep, replay/diff/stat past runs"
+            "artifact files, resume an interrupted sweep, "
+            "replay/diff/stat past runs"
         ),
     )
     log_sub = log_parser.add_subparsers(dest="log_command", required=True)
@@ -449,9 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     log_derive = log_sub.add_parser(
         "derive",
         help=(
-            "re-derive the legacy artifact views (ledger JSONL, "
-            "certificates, checkpoints, bench trajectories, trend log) "
-            "from a world log"
+            "derive artifact files (certificates, bench trajectories, "
+            "the jobs manifest) from a world log"
         ),
     )
     log_derive.add_argument("path", help="world log file")
@@ -460,23 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="output directory (default: <log>.derived/)",
-    )
-    log_import = log_sub.add_parser(
-        "import",
-        help=(
-            "one-shot conversion: fold legacy artifacts (event "
-            "ledgers, certificates, bench trajectories, trend logs) "
-            "into one fresh world log"
-        ),
-    )
-    log_import.add_argument(
-        "paths", nargs="+", help="legacy artifact file(s)"
-    )
-    log_import.add_argument(
-        "--out",
-        metavar="LOG",
-        required=True,
-        help="the world log to create",
     )
     log_resume = log_sub.add_parser(
         "resume",
@@ -528,21 +507,17 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "post-hoc metrics from an old log (no schema migration): "
             "per-cell percentiles, span totals, cache hit rate, "
-            "per-tenant job + rejection counts, as trend-shaped JSON"
+            "per-tenant job + rejection counts, as one JSON document"
         ),
     )
     log_stats_parser.add_argument("path", help="world log file")
 
     trace_parser = subparsers.add_parser(
         "trace",
-        help=(
-            "render a persisted run recording (legacy ledger JSONL or "
-            "world log, sniffed) as a phase-tree timeline"
-        ),
+        help="render a run recording (world log) as a phase-tree timeline",
     )
     trace_parser.add_argument(
-        "path",
-        help="run ledger JSONL file or world log (written via --ledger)",
+        "path", help="world log (written via --ledger)"
     )
     trace_parser.add_argument(
         "--slowest",
@@ -559,44 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
             "text: the phase-tree timeline (default); chrome: "
             "trace-event JSON that Perfetto and chrome://tracing open"
         ),
-    )
-
-    report_parser = subparsers.add_parser(
-        "report",
-        help=(
-            "append a canary perf point to the trend log and diff it "
-            "against the previous one"
-        ),
-    )
-    report_parser.add_argument(
-        "--trend",
-        action="store_true",
-        required=True,
-        help="record a trend point (the only report mode, for now)",
-    )
-    report_parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help=(
-            "trend store to append to: a legacy trend JSONL, or a "
-            "world log ('*.worldlog' or an existing log, sniffed) "
-            "(default: benchmarks/reports/trend.jsonl)"
-        ),
-    )
-    report_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help=(
-            "flag wall-clock regressions beyond this fraction "
-            "(default: 0.2 = 20%%)"
-        ),
-    )
-    report_parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 when a regression is flagged",
     )
 
     bench_parser = subparsers.add_parser(
@@ -939,14 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics_export = metrics_sub.add_parser(
         "export",
-        help=(
-            "render a run recording (world log or legacy ledger "
-            "JSONL, sniffed) as Prometheus text exposition"
-        ),
+        help="render a run recording (world log) as Prometheus text",
     )
-    metrics_export.add_argument(
-        "path", help="world log or run ledger JSONL file"
-    )
+    metrics_export.add_argument("path", help="world log file")
     metrics_export.add_argument(
         "--format",
         choices=("prom",),
@@ -973,26 +905,32 @@ def _resolve_protocol(name: str, n: int, t: int):
     return CHEATERS[name](n, t)
 
 
+def _size_error(n: int, t: int) -> str | None:
+    """Why ``(n, t)`` cannot be attacked, or ``None`` when it can.
+
+    The two-group construction needs ``t >= 2`` and the system model
+    needs ``t < n``; checked before any spec is built so bad sizes get
+    one diagnostic line instead of a traceback.
+    """
+    if 2 <= t < n:
+        return None
+    return f"--n/--t need 2 <= t < n, got n={n}, t={t}"
+
+
 def _make_ledger(path: str | None):
     """The recording pair ``(ledger, worldlog)`` for ``--ledger PATH``.
 
-    The compatibility shim: a ``*.worldlog`` path opens the append-only
-    world log and mirrors every ledger event into it write-through (the
-    ledger itself is the in-memory view layers already consume); any
-    other path keeps the legacy behavior — an in-memory ledger that
-    :func:`_write_ledger` persists as JSONL at the end.  Either element
-    may be ``None``.
+    ``PATH`` always opens a world log, whatever its suffix; every event
+    the in-memory ledger receives is mirrored into it write-through.
+    Both elements are ``None`` when no path was given.
     """
     if not path:
         return None, None
     from repro.obs.ledger import RunLedger
+    from repro.worldlog.store import WorldLog
 
-    if path.endswith(".worldlog"):
-        from repro.worldlog.store import WorldLog
-
-        worldlog = WorldLog.create(path)
-        return RunLedger(sink=worldlog.record_event), worldlog
-    return RunLedger(), None
+    worldlog = WorldLog.create(path)
+    return RunLedger(sink=worldlog.record_event), worldlog
 
 
 def _make_telemetry(
@@ -1001,7 +939,7 @@ def _make_telemetry(
     """The optional :class:`TelemetryBus` behind ``--telemetry``.
 
     ``--telemetry-interval SECONDS`` implies ``--telemetry``; either
-    flag without a ``*.worldlog`` ledger is a domain error (there is
+    flag without a ``--ledger`` world log is a domain error (there is
     nowhere to record snapshots).  Returns ``None`` when telemetry was
     not requested.
     """
@@ -1022,26 +960,21 @@ def _make_telemetry(
     if worldlog is None:
         raise ReproError(
             "--telemetry records telemetry.snapshot world-log "
-            "records; pass --ledger PATH.worldlog to give it a log"
+            "records; pass --ledger PATH to give it a log"
         )
     return TelemetryBus(worldlog, interval=interval, source=source)
 
 
-def _write_ledger(ledger, worldlog, path: str | None) -> None:
-    """Persist and announce a run recording (diagnostic, so stderr)."""
-    if ledger is None or not path:
+def _close_recording(ledger, worldlog) -> None:
+    """Close a run recording and announce it (diagnostic, so stderr)."""
+    if worldlog is None:
         return
-    if worldlog is not None:
-        records = len(worldlog.records)
-        worldlog.close()
-        _info(
-            f"world log written to {path} ({records} records, "
-            f"{len(ledger)} events); derive artifacts with "
-            f"'repro log derive {path}'"
-        )
-        return
-    ledger.write(path)
-    _info(f"run ledger written to {path} ({len(ledger)} events)")
+    worldlog.close()
+    _info(
+        f"world log written to {worldlog.path} "
+        f"({len(worldlog.records)} records, {len(ledger)} events); "
+        f"derive artifacts with 'repro log derive {worldlog.path}'"
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1078,7 +1011,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             kwargs["progress"] = True
             kwargs["stall_after"] = args.stall_after
         print(runner(**kwargs).report)
-        _write_ledger(ledger, worldlog, getattr(args, "ledger", None))
+        _close_recording(ledger, worldlog)
         return 0
     if args.command == "all":
         import inspect
@@ -1099,8 +1032,15 @@ def _dispatch(args: argparse.Namespace) -> int:
                 kwargs["stall_after"] = args.stall_after
             print(runner(**kwargs).report)
             print()
-        _write_ledger(ledger, worldlog, args.ledger)
+        _close_recording(ledger, worldlog)
         return 0
+    if args.command in ("attack", "certify", "verify-witness") and (
+        args.protocol != "matrix"
+    ):
+        error = _size_error(args.n, args.t)
+        if error is not None:
+            _info(f"error: {error}")
+            return 2
     if args.command == "attack":
         from repro.obs.tracer import NULL_TRACER, LedgerTracer
 
@@ -1133,7 +1073,16 @@ def _dispatch(args: argparse.Namespace) -> int:
             with open(args.save, "w") as handle:
                 handle.write(dump_witness(outcome.witness))
             _info(f"witness written to {args.save}")
-        _write_ledger(ledger, worldlog, args.ledger)
+        _close_recording(ledger, worldlog)
+        if not outcome.found_violation and outcome.bound.below_floor:
+            # The theorem's obligation: a survivor must have paid at
+            # least t²/32 messages.  Anything else is a driver bug.
+            _info(
+                f"error: no violation found, yet only "
+                f"{outcome.bound.observed} messages observed < t²/32 = "
+                f"{outcome.bound.floor:.2f}"
+            )
+            return 1
         expected_violation = args.protocol in CHEATERS
         return 0 if outcome.found_violation == expected_violation else 1
     if args.command == "verify-witness":
@@ -1244,10 +1193,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
             worldlog = WorldLog.resume(args.resume)
             ledger = RunLedger(sink=worldlog.record_event)
-            target = args.resume
         else:
             ledger, worldlog = _make_ledger(args.ledger)
-            target = args.ledger
         telemetry = _make_telemetry(args, worldlog, "sweep")
         report = SweepScheduler(
             jobs=args.jobs,
@@ -1267,7 +1214,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(render_sweep(points))
         if args.timings:
             _info(report.render())
-        _write_ledger(ledger, worldlog, target)
+        _close_recording(ledger, worldlog)
         try:
             print(f"fit: {fit_sweep(points).render()}")
         except ValueError:
@@ -1287,41 +1234,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.obs.report import render_trace
 
         print(render_trace(events, slowest=args.slowest))
-        return 0
-    if args.command == "report":
-        import os
-
-        from repro.obs.report import (
-            TREND_PATH,
-            append_trend,
-            trend_delta,
-            trend_point,
-        )
-        from repro.worldlog.store import is_worldlog
-
-        out = args.out or TREND_PATH
-        _info("running the trend canary (ring-token, n=12, t=8)...")
-        point = trend_point()
-        if out.endswith(".worldlog") or is_worldlog(out):
-            from repro.worldlog.store import WorldLog
-            from repro.worldlog.views import trend_points
-
-            worldlog = (
-                WorldLog.resume(out)
-                if os.path.exists(out)
-                else WorldLog.create(out)
-            )
-            history = trend_points(worldlog.records)
-            previous = history[-1] if history else None
-            worldlog.append("trend.point", point)
-            worldlog.close()
-            delta = trend_delta(point, previous, threshold=args.threshold)
-        else:
-            delta = append_trend(out, point, threshold=args.threshold)
-        print(delta.render())
-        _info(f"trend point appended to {out}")
-        if args.strict and not delta.ok:
-            return 1
         return 0
     if args.command == "bench":
         return _dispatch_bench(args)
@@ -1343,18 +1255,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _read_recording_events(path: str):
-    """Ledger events from a run recording: world log or legacy JSONL,
-    sniffed the same way ``repro trace`` always has."""
-    from repro.worldlog.store import is_worldlog
+    """The ledger events of a world log written via ``--ledger``."""
+    from repro.worldlog.store import read_worldlog
+    from repro.worldlog.views import ledger_events
 
-    if is_worldlog(path):
-        from repro.worldlog.store import read_worldlog
-        from repro.worldlog.views import ledger_events
-
-        return ledger_events(read_worldlog(path))
-    from repro.obs.ledger import read_events
-
-    return read_events(path)
+    return ledger_events(read_worldlog(path))
 
 
 def _dispatch_serve(args: argparse.Namespace) -> int:
@@ -1869,17 +1774,6 @@ def _dispatch_log(args: argparse.Namespace) -> int:
                 total += 1
         print(f"{total} artifact(s) derived into {out_dir}")
         return 0
-    if args.log_command == "import":
-        from repro.worldlog.legacy import import_legacy
-
-        counts = import_legacy(args.paths, args.out)
-        for family in sorted(counts):
-            _info(f"{family}: {counts[family]} record(s) imported")
-        print(
-            f"world log written to {args.out} "
-            f"({sum(counts.values())} record(s))"
-        )
-        return 0
     if args.log_command == "resume":
         from repro.obs.ledger import RunLedger
         from repro.parallel import SweepScheduler
@@ -1903,7 +1797,7 @@ def _dispatch_log(args: argparse.Namespace) -> int:
             stall_after=args.stall_after,
         ).run(jobs)
         print(report.render())
-        _write_ledger(ledger, worldlog, args.path)
+        _close_recording(ledger, worldlog)
         return 1 if report.errors() else 0
     raise AssertionError(
         f"unhandled log command {args.log_command!r}"

@@ -368,10 +368,9 @@ class LowerBoundDriver:
             embeds the evidence chain for
             :func:`repro.certify.verifier.verify_certificate`.
         worldlog: an open :class:`~repro.worldlog.store.WorldLog` to
-            record in-band milestones into (default ``None``: no
-            records).  The driver appends a ``checkpoint`` record per
-            fault-free checkpointer it stores and — when ``certify`` is
-            on — a ``cert.artifact`` record carrying the assembled
+            record the certificate into (default ``None``: no records).
+            When ``certify`` is on, the driver appends a
+            ``cert.artifact`` record carrying the assembled
             certificate's exact canonical text, so the certificate view
             derived from the log is byte-identical to the file the CLI
             writes.  Recording never affects outcomes.
@@ -1026,18 +1025,6 @@ class LowerBoundDriver:
         self.cache.misses += 1
         if checkpointer is not None and checkpointer.enabled:
             self.cache.store_checkpointer(self._spec_key, bit, checkpointer)
-            if self.worldlog is not None:
-                self.worldlog.append(
-                    "checkpoint",
-                    {
-                        "protocol": self.spec.name,
-                        "n": self.spec.n,
-                        "t": self.spec.t,
-                        "bit": bit,
-                        "rounds": execution.rounds,
-                        "enabled": checkpointer.enabled,
-                    },
-                )
         return execution
 
     def _run_fault_free_kernel(self, bit: Bit, key: tuple) -> Execution:
@@ -1075,18 +1062,6 @@ class LowerBoundDriver:
             self.cache.store_kernel_state(
                 self._spec_key, bit, (trace, forker)
             )
-            if self.worldlog is not None:
-                self.worldlog.append(
-                    "checkpoint",
-                    {
-                        "protocol": self.spec.name,
-                        "n": self.spec.n,
-                        "t": self.spec.t,
-                        "bit": bit,
-                        "rounds": trace.rounds_run,
-                        "enabled": True,
-                    },
-                )
         return execution
 
     def _try_reuse(
@@ -1586,7 +1561,7 @@ def attack_weak_consensus(
             :class:`~repro.obs.tracer.LedgerTracer` to record the run
             ledger; the zero-overhead no-op by default).
         worldlog: an open :class:`~repro.worldlog.store.WorldLog` for
-            in-band ``checkpoint`` and ``cert.artifact`` records.
+            the in-band ``cert.artifact`` record.
         telemetry: an optional :class:`~repro.obs.telemetry
             .TelemetryBus` sampling the attack into observability-only
             ``telemetry.snapshot`` records (a per-round tap on the

@@ -2,15 +2,15 @@
 
 The layer every pipeline stage emits into and every report reads from:
 
-* :mod:`repro.obs.ledger` — the append-only JSONL event log with the
-  ``run_id`` / ``cell_id`` / ``worker_id`` correlation triple and the
-  cross-process splice protocol;
+* :mod:`repro.obs.ledger` — the append-only in-memory event log with
+  the ``run_id`` / ``cell_id`` / ``worker_id`` correlation triple and
+  the cross-process splice protocol (persisted only through the world
+  log, :mod:`repro.worldlog`);
 * :mod:`repro.obs.tracer` — span tracing with a zero-overhead no-op
   default (:data:`NULL_TRACER`) and the per-round engine observer;
 * :mod:`repro.obs.metrics` — the associative registry of named
   counters, gauges and histograms;
-* :mod:`repro.obs.report` — the ``repro trace`` timeline and the
-  ``repro report --trend`` perf-trajectory log;
+* :mod:`repro.obs.report` — the ``repro trace`` timeline;
 * :mod:`repro.obs.telemetry` — the sampled telemetry bus folding live
   metrics/progress/round accounting into observability-only
   ``telemetry.snapshot`` world-log records;
@@ -37,7 +37,6 @@ from repro.obs.ledger import (
     cell_label,
     new_run_id,
     order_signature,
-    read_events,
 )
 from repro.obs.metrics import (
     Counter,
@@ -76,7 +75,6 @@ __all__ = [
     "new_run_id",
     "order_signature",
     "parse_interval",
-    "read_events",
     "registry_from_events",
     "render_prometheus",
 ]

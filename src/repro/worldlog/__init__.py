@@ -1,11 +1,12 @@
 """``repro.worldlog`` — the single append-only record store.
 
 One run writes one *world log*: a tick-ordered JSONL sequence of typed
-:class:`~repro.worldlog.record.Record` envelopes.  Everything the
-repository used to persist separately — ledger events, attack
-certificates, driver checkpoints, benchmark points, trend points — is a
-*view* derived by scanning the log (:mod:`repro.worldlog.views`); the
-log itself is the only thing any layer writes.  On top of the views sit
+:class:`~repro.worldlog.record.Record` envelopes.  It is the
+repository's only on-disk recording format: ledger events, attack
+certificates, benchmark points, sweep cells and service jobs are all
+records, and the artifact files are *views* derived by scanning the log
+(:mod:`repro.worldlog.views`).  :mod:`repro.worldlog.store` is the only
+code that writes or reads it.  On top of the views sit
 the time-travel tools: a replay cursor that materializes "what the
 system knew at tick T" (:mod:`repro.worldlog.replay`), a tick-aligned
 semantic differ (:mod:`repro.worldlog.diffing`), and post-hoc metric
@@ -30,7 +31,6 @@ from repro.worldlog.replay import (
 from repro.worldlog.store import (
     LogTailer,
     WorldLog,
-    is_worldlog,
     read_records,
     read_worldlog,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "WorldLog",
     "derive_views",
     "diff_logs",
-    "is_worldlog",
     "log_order_signature",
     "log_stats",
     "read_records",

@@ -289,7 +289,7 @@ def decode_value(data: dict[str, Any]) -> Any:
 
 
 def encode_event(event: Any) -> dict[str, Any]:
-    """One ledger event as its JSONL object (key order preserved)."""
+    """One ledger event as its ``ledger.event`` payload (key order kept)."""
     return json.loads(event.to_json())
 
 

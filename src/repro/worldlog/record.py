@@ -47,10 +47,8 @@ KINDS = (
     "ledger.event",
     "cell.result",
     "cell.error",
-    "checkpoint",
     "cert.artifact",
     "bench.point",
-    "trend.point",
     "job.submitted",
     "job.start",
     "job.result",
@@ -63,21 +61,18 @@ KINDS = (
 * ``log.open`` — the header: schema tag plus the run id; always tick 0.
 * ``sweep.plan`` — the full job matrix of a scheduled sweep (one record
   per run; resume verifies the plan matches before skipping cells).
-* ``gather.start`` — marks the start of a sweep's gather step; the
-  ledger view reads events after the *last* marker, so a crash during a
-  gather never duplicates events in the derived view.
+* ``gather.start`` — marks the start of a sweep's gather step; event
+  readers take the events after the *last* marker, so a crash during a
+  gather never duplicates events.
 * ``ledger.event`` — one :class:`~repro.obs.ledger.LedgerEvent`,
   mirrored verbatim as it lands in the live run ledger.
 * ``cell.result`` / ``cell.error`` — a sweep cell's terminal record
   (the crash-resume unit): the full decoded-or-decodable job result, or
   the structured failure.
-* ``checkpoint`` — an in-band driver checkpoint note (fault-free run
-  snapshotted for Lemma-4 prefix resume).
 * ``cert.artifact`` — a portable attack certificate, carried as its
   canonical JSON text.
-* ``bench.point`` / ``trend.point`` — one benchmark-observatory point /
-  one perf-trend point, payloads exactly as their legacy writers
-  serialize them.
+* ``bench.point`` — one benchmark-observatory point, the payload
+  exactly as a ``BENCH_<suite>.json`` trajectory stores it.
 * ``job.submitted`` / ``job.start`` / ``job.result`` / ``job.error`` —
   the attack service's job lifecycle (:mod:`repro.service`): one
   acceptance record per idempotent job key, an optional start marker

@@ -17,8 +17,7 @@ the fold explicit:
 * :func:`select_records` — the shared record-selection logic behind
   ``repro log show --kind/--cell/--run/--tail``.
 * :func:`log_stats` — post-hoc metric extraction: new metrics computed
-  from old logs without any schema migration, emitted in the same JSON
-  shape the ``report --trend`` comparison policy consumes.
+  from old logs without any schema migration, as one JSON document.
 
 The state mirrors the derived-view semantics exactly: event-derived
 fields (span stacks, counters, gauges, round accounting) reset at every
@@ -88,9 +87,9 @@ class ReplayState:
     Event-derived fields (``events`` through ``vs_floor``) mirror the
     derived ledger view: they reset on every ``gather.start`` marker,
     so they always describe events after the *last* marker seen.
-    Envelope-derived fields (plans, terminals, jobs, certificates,
-    checkpoints) accumulate over the whole prefix, exactly like their
-    manifest views.
+    Envelope-derived fields (plans, terminals, jobs, certificates)
+    accumulate over the whole prefix, exactly like their manifest
+    views.
     """
 
     tick: int = -1
@@ -111,7 +110,6 @@ class ReplayState:
 
     # artifact bookkeeping (whole prefix)
     certificates: list[str] = field(default_factory=list)
-    checkpoints: int = 0
 
     # observability bookkeeping (whole prefix; never feeds semantics)
     telemetry_snapshots: int = 0
@@ -173,7 +171,6 @@ class ReplayState:
                 for tenant, kinds in self.rejections.items()
             },
             certificates=list(self.certificates),
-            checkpoints=self.checkpoints,
             telemetry_snapshots=self.telemetry_snapshots,
             last_telemetry=(
                 dict(self.last_telemetry)
@@ -231,8 +228,6 @@ class ReplayState:
             self.errored_cells[payload["index"]] = record.cell_id
             if record.cell_id is not None:
                 self.cells_terminal.add(record.cell_id)
-        elif kind == "checkpoint":
-            self.checkpoints += 1
         elif kind == "cert.artifact":
             self.certificates.append(payload["label"])
         elif kind == "job.submitted":
@@ -462,8 +457,6 @@ def render_state(state: ReplayState, total: int | None = None) -> str:
         )
     if state.certificates:
         lines.append("certificates: " + ", ".join(state.certificates))
-    if state.checkpoints:
-        lines.append(f"checkpoints: {state.checkpoints}")
     if state.telemetry_snapshots:
         last = state.last_telemetry or {}
         seq = last.get("seq")
@@ -512,12 +505,9 @@ def log_stats(
 ) -> dict[str, Any]:
     """Compute post-hoc metrics from an old log — no schema migration.
 
-    The document's top level is shaped like a ``report --trend`` point
-    (``label`` / ``wall_seconds`` / ``rounds_simulated`` / ``events`` /
-    ``messages_observed`` / ``cache_hit_rate``), so
-    :func:`repro.obs.report.trend_delta` can diff two extractions with
-    the one comparison policy the trend log already uses.  Extra
-    sections carry the metrics the legacy views never materialized:
+    The top level carries the run's headline numbers (``label`` /
+    ``wall_seconds`` / ``rounds_simulated`` / ``events`` /
+    ``messages_observed`` / ``cache_hit_rate``); further sections carry
     per-cell wall/round/message percentiles, flat span totals
     (certificate verify time is the ``witness-verify`` + ``certify``
     rows), and per-tenant job accounting including quota/rate

@@ -1,5 +1,11 @@
 """The world-log store: write-through appends, torn-tail-safe reads.
 
+This module is the only code that writes or reads run recordings: the
+CLI's ``--ledger PATH`` opens a :class:`WorldLog` whatever the suffix,
+and every reader (``repro trace``, ``log``, ``metrics export``, ``top
+--log``, ``jobs --log``) goes through :func:`read_worldlog` or
+:class:`LogTailer`.
+
 A :class:`WorldLog` owns one JSONL file.  Appends are *write-through*:
 every record is serialized, written and flushed before ``append``
 returns, so a killed process leaves at most one torn final line — never
@@ -193,12 +199,22 @@ def read_worldlog(path: str) -> list[Record]:
 
     :func:`read_records` plus header validation: the first record must
     be the ``log.open`` header carrying the
-    :data:`~repro.worldlog.record.WORLDLOG_SCHEMA` tag.
+    :data:`~repro.worldlog.record.WORLDLOG_SCHEMA` tag.  A file whose
+    first line is no record at all — a JSONL run ledger of an earlier
+    release, say — is rejected before the rest is parsed, with the
+    ``<path>:1`` diagnostic ending in "the file is not a world log".
 
     Raises:
         ArtifactError: if the file is not a world log (CLI exit 2).
         OSError: if the file cannot be read.
     """
+    with open(path, encoding="utf-8") as handle:
+        first = handle.readline()
+    try:
+        Record.from_json(first)
+    except (ValueError, KeyError, TypeError) as exc:
+        error = artifact_error(path, "world-log record", exc, line=1)
+        raise ArtifactError(f"{error}; the file is not a world log") from exc
     records = read_records(path)
     if (
         not records
@@ -290,25 +306,3 @@ class LogTailer:
             records.append(record)
             self._emitted += 1
         return records
-
-
-def is_worldlog(path: str) -> bool:
-    """Whether ``path`` exists and opens with a world-log header.
-
-    The schema sniff the transition-era readers (``repro trace``,
-    ``repro report --trend``) use to accept either a legacy artifact or
-    a world log.  Never raises.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            first = handle.readline().strip()
-        if not first:
-            return False
-        record = Record.from_json(first)
-    except (OSError, ValueError, KeyError, TypeError):
-        return False
-    return (
-        record.kind == "log.open"
-        and isinstance(record.payload, dict)
-        and record.payload.get("schema") == WORLDLOG_SCHEMA
-    )

@@ -1,31 +1,24 @@
-"""Derived views: the five legacy artifact families, re-rendered.
+"""Derived views: artifact files re-rendered from a world log.
 
 Nothing here is a second source of truth — a view is a pure function of
 the record sequence, re-runnable at any time (``repro log derive``),
-and proven byte-identical to what the legacy writers persist by the
-golden fixtures under ``tests/worldlog/golden``:
+and pinned byte for byte by the golden fixture under
+``tests/worldlog/golden``:
 
-* **ledger** — ``ledger.jsonl``: every ``ledger.event`` payload as one
-  JSONL line, exactly :meth:`RunLedger.write` output.  For sweep logs
-  the view reads events after the *last* ``gather.start`` marker, so a
-  crash mid-gather (which would otherwise duplicate spliced events on
-  resume) cannot corrupt the view.
 * **certificates** — ``certificates/<label>.cert.json``: each
   ``cert.artifact``'s canonical JSON text, exactly the bytes
   ``Certificate.to_bytes`` ships.
-* **checkpoints** — ``checkpoints.json``: the in-band driver
-  checkpoint notes as one manifest document.
 * **bench** — ``BENCH_<suite>.json`` per suite: the schema-versioned
   trajectory document :func:`repro.obs.bench.append_points` writes.
-* **trend** — ``trend.jsonl``: each ``trend.point`` payload as one
-  JSONL line, exactly :func:`repro.obs.report.append_trend` output.
+* **jobs** — ``jobs.json``: the attack service's job manifest (schema
+  ``repro.jobs/v1``), folding each job's ``job.submitted`` /
+  ``job.start`` / ``job.result`` / ``job.error`` records into one entry
+  per idempotent job key.  ``repro jobs --log`` renders the same
+  manifest without materializing it.
 
-A sixth, service-era view has no legacy writer: **jobs** —
-``jobs.json``: the attack service's job manifest (schema
-``repro.jobs/v1``), folding each job's ``job.submitted`` /
-``job.start`` / ``job.result`` / ``job.error`` records into one entry
-per idempotent job key.  ``repro jobs --log`` renders the same
-manifest without materializing it.
+The run's ledger events are read in memory only (:func:`ledger_events`,
+for ``repro trace``, ``metrics export`` and ``log stats``); no file
+view of them exists.
 """
 
 from __future__ import annotations
@@ -38,9 +31,6 @@ from repro.worldlog.record import Record
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.ledger import LedgerEvent
-
-CHECKPOINTS_SCHEMA = "repro.checkpoints/v1"
-"""The schema tag of the derived checkpoint manifest."""
 
 JOBS_SCHEMA = "repro.jobs/v1"
 """The schema tag of the derived service job manifest."""
@@ -61,21 +51,14 @@ def after_last_gather(records: Sequence[Record]) -> Sequence[Record]:
     return records if last is None else records[last + 1 :]
 
 
-def ledger_lines(records: Sequence[Record]) -> list[str]:
-    """The derived ledger view as JSONL lines (no trailing newlines)."""
+def ledger_events(records: Sequence[Record]) -> "list[LedgerEvent]":
+    """The run's ledger events, after the last ``gather.start`` marker."""
+    from repro.worldlog.codec import decode_event
+
     return [
-        json.dumps(record.payload)
+        decode_event(record.payload)
         for record in after_last_gather(records)
         if record.kind == "ledger.event"
-    ]
-
-
-def ledger_events(records: Sequence[Record]) -> "list[LedgerEvent]":
-    """The derived ledger view as live events (for ``repro trace``)."""
-    from repro.obs.ledger import LedgerEvent
-
-    return [
-        LedgerEvent.from_json(line) for line in ledger_lines(records)
     ]
 
 
@@ -86,18 +69,6 @@ def certificate_texts(records: Iterable[Record]) -> dict[str, str]:
         if record.kind == "cert.artifact":
             texts[record.payload["label"]] = record.payload["text"]
     return texts
-
-
-def checkpoint_manifest(records: Iterable[Record]) -> dict[str, Any]:
-    """The derived checkpoint manifest document."""
-    return {
-        "schema": CHECKPOINTS_SCHEMA,
-        "checkpoints": [
-            record.payload
-            for record in records
-            if record.kind == "checkpoint"
-        ],
-    }
 
 
 def bench_documents(
@@ -161,37 +132,18 @@ def jobs_manifest(records: Iterable[Record]) -> dict[str, Any]:
     return {"schema": JOBS_SCHEMA, "jobs": list(jobs.values())}
 
 
-def trend_points(records: Iterable[Record]) -> list[dict[str, Any]]:
-    """The derived trend view, oldest first (for ``report --trend``)."""
-    return [
-        record.payload
-        for record in records
-        if record.kind == "trend.point"
-    ]
-
-
 def derive_views(
     records: Sequence[Record], out_dir: str
 ) -> dict[str, list[str]]:
     """Materialize every view under ``out_dir``; returns paths per view.
 
     Views with no contributing records write nothing (an attack log
-    without bench points derives no ``BENCH_*.json``), so the output
-    directory mirrors what the legacy writers would have produced.
+    without bench points derives no ``BENCH_*.json``).
     """
     from repro.obs.bench import trajectory_file_name
 
     os.makedirs(out_dir, exist_ok=True)
     written: dict[str, list[str]] = {}
-
-    lines = ledger_lines(records)
-    if lines:
-        path = os.path.join(out_dir, "ledger.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
-        written["ledger"] = [path]
 
     certificates = certificate_texts(records)
     if certificates:
@@ -204,14 +156,6 @@ def derive_views(
                 handle.write(text)
             paths.append(path)
         written["certificates"] = paths
-
-    manifest = checkpoint_manifest(records)
-    if manifest["checkpoints"]:
-        path = os.path.join(out_dir, "checkpoints.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        written["checkpoints"] = [path]
 
     documents = bench_documents(records)
     if documents:
@@ -231,14 +175,5 @@ def derive_views(
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
         written["jobs"] = [path]
-
-    points = trend_points(records)
-    if points:
-        path = os.path.join(out_dir, "trend.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            for point in points:
-                handle.write(json.dumps(point))
-                handle.write("\n")
-        written["trend"] = [path]
 
     return written

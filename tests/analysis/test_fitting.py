@@ -40,6 +40,10 @@ class TestFit:
         with pytest.raises(ValueError, match="two non-zero"):
             fit_power_law([4, 8], [0, 16])
 
+    def test_equal_ts_rejected(self):
+        with pytest.raises(ValueError, match="two distinct t"):
+            fit_power_law([8, 8, 8], [16, 32, 64])
+
     def test_render(self):
         fit = fit_power_law([4, 8], [16, 64])
         assert "t^2.00" in fit.render()

@@ -1,4 +1,4 @@
-"""Tests for the run ledger: events, persistence, the splice protocol."""
+"""Tests for the run ledger: events, recording, the splice protocol."""
 
 import pickle
 
@@ -11,7 +11,6 @@ from repro.obs.ledger import (
     cell_label,
     new_run_id,
     order_signature,
-    read_events,
 )
 
 
@@ -89,12 +88,19 @@ class TestRunLedger:
         assert [e.worker_id for e in parent.events] == [77, 77]
 
     def test_write_and_read_round_trip(self, tmp_path):
-        ledger = RunLedger(run_id="r", worker_id=3, clock=lambda: 0.0)
-        ledger.emit("span-start", "attack", n=12)
-        ledger.emit("span-end", "attack")
-        path = str(tmp_path / "run.jsonl")
-        ledger.write(path)
-        assert read_events(path) == ledger.events
+        """A ledger recorded into a world log reads back event for event."""
+        from repro.worldlog import WorldLog, read_worldlog
+        from repro.worldlog.views import ledger_events
+
+        path = str(tmp_path / "run.worldlog")
+        with WorldLog.create(path, run_id="r") as log:
+            ledger = RunLedger(
+                run_id="r", worker_id=3, clock=lambda: 0.0,
+                sink=log.record_event,
+            )
+            ledger.emit("span-start", "attack", n=12)
+            ledger.emit("span-end", "attack")
+        assert ledger_events(read_worldlog(path)) == ledger.events
 
     def test_random_run_ids_are_distinct(self):
         assert new_run_id() != new_run_id()

@@ -8,6 +8,16 @@ from repro.cli import build_parser, main
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--trend"], ["log", "import", "run.jsonl", "--out", "x"]],
+    )
+    def test_removed_commands_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_experiment_subcommands_registered(self):
         parser = build_parser()
         for experiment in ("e1", "e5", "e9", "all"):
@@ -63,6 +73,42 @@ class TestMain:
         )
         assert "no violation" in capsys.readouterr().out
 
+    def test_survivor_at_the_papers_t_meets_the_floor(self, capsys):
+        assert main(["attack", "correct", "--n", "80", "--t", "64"]) == 0
+        captured = capsys.readouterr()
+        assert "no violation" in captured.out
+        assert "error:" not in captured.err
+
+    @pytest.mark.parametrize("protocol", ["correct", "silent"])
+    def test_survival_below_the_floor_is_a_failure(
+        self, protocol, monkeypatch, capsys
+    ):
+        """No violation and fewer than t²/32 messages: exit 1, any name."""
+        import repro.cli
+        from repro.lowerbound.bound import BoundComparison
+        from repro.lowerbound.driver import AttackOutcome
+        from repro.lowerbound.partition import canonical_partition
+
+        def fake_attack(spec, **_options):
+            return AttackOutcome(
+                protocol=spec.name,
+                n=spec.n,
+                t=spec.t,
+                partition=canonical_partition(spec.n, spec.t),
+                witness=None,
+                bound=BoundComparison(t=spec.t, observed=1),
+                rounds_simulated=0,
+                rounds_baseline=0,
+            )
+
+        monkeypatch.setattr(repro.cli, "attack_weak_consensus", fake_attack)
+        assert main(["attack", protocol, "--n", "12", "--t", "8"]) == 1
+        captured = capsys.readouterr()
+        assert "no violation" in captured.out
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: no violation found")
+        assert "1 messages observed < t²/32 = 2.00" in line
+
 
 class TestLedgerCommands:
     def test_attack_ledger_then_trace(self, tmp_path, capsys):
@@ -83,8 +129,9 @@ class TestLedgerCommands:
             == 0
         )
         captured = capsys.readouterr()
-        assert "run ledger written" in captured.err
-        assert "run ledger written" not in captured.out
+        # Any --ledger suffix records a world log.
+        assert "world log written" in captured.err
+        assert "world log written" not in captured.out
         assert main(["trace", path]) == 0
         trace = capsys.readouterr().out
         assert "phase tree" in trace
@@ -107,38 +154,28 @@ class TestLedgerCommands:
         assert "garbage.jsonl:1" in captured.err
         assert captured.out == ""
 
-    def test_trend_corrupt_log_exits_two(self, tmp_path, capsys):
-        log = tmp_path / "trend.jsonl"
-        log.write_text("{broken\n")
-        assert main(["report", "--trend", "--out", str(log)]) == 2
-        captured = capsys.readouterr()
-        assert "error:" in captured.err
-        assert "not a trend point" in captured.err
-
-    def test_trend_out_creates_parent_directories(
+    def test_trace_rejects_a_pre_worldlog_jsonl_ledger(
         self, tmp_path, capsys
     ):
-        out = str(tmp_path / "deep" / "nested" / "trend.jsonl")
-        assert main(["report", "--trend", "--out", out]) == 0
-        capsys.readouterr()
-        import os
-
-        assert os.path.exists(out)
-
-    def test_report_trend_appends_and_diffs(self, tmp_path, capsys):
-        out = str(tmp_path / "trend.jsonl")
-        assert main(["report", "--trend", "--out", out]) == 0
-        first = capsys.readouterr()
-        assert "first recorded point" in first.out
-        assert "trend point appended" in first.err
-        assert main(["report", "--trend", "--out", out]) == 0
-        again = capsys.readouterr().out
-        assert "wall vs previous" in again
+        # The event-per-line ledger format of earlier releases.
+        legacy = tmp_path / "run.jsonl"
+        legacy.write_text(
+            '{"ts": 1.0, "kind": "counter", "name": "cache.hits", '
+            '"value": 3, "run_id": "r", "cell_id": null, '
+            '"worker_id": 1, "attrs": {}}\n'
+        )
+        assert main(["trace", str(legacy)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error:")
+        assert "not a world log" in line
 
     def test_sweep_ledger_records_measure_cells(
         self, tmp_path, capsys
     ):
-        from repro.obs.ledger import read_events
+        from repro.worldlog import read_worldlog
+        from repro.worldlog.views import ledger_events
 
         path = str(tmp_path / "sweep.jsonl")
         assert (
@@ -155,7 +192,7 @@ class TestLedgerCommands:
             == 0
         )
         capsys.readouterr()
-        events = read_events(path)
+        events = ledger_events(read_worldlog(path))
         names = {event.name for event in events}
         assert "measure.worst_messages" in names
         assert "cell.wall_seconds" in names
@@ -434,7 +471,9 @@ class TestWorldLogCommands:
         from repro.worldlog import read_worldlog
 
         kinds = {record.kind for record in read_worldlog(log_path)}
-        assert {"log.open", "ledger.event", "checkpoint"} <= kinds
+        assert {"log.open", "ledger.event"} <= kinds
+        # Driver checkpoints stay in memory; nothing resumes from them.
+        assert "checkpoint" not in kinds
 
     def test_log_show_lists_records(self, tmp_path, capsys):
         log_path = self._attack_into_worldlog(tmp_path)
@@ -442,22 +481,31 @@ class TestWorldLogCommands:
         assert main(["log", "show", log_path]) == 0
         out = capsys.readouterr().out
         assert "record(s)" in out
-        assert "checkpoint" in out
+        assert "ledger.event" in out
         assert (
-            main(["log", "show", log_path, "--kind", "checkpoint"]) == 0
+            main(["log", "show", log_path, "--kind", "log.open"]) == 0
         )
         filtered = capsys.readouterr().out
         assert "ledger.event" not in filtered
 
     def test_log_derive_writes_views(self, tmp_path, capsys):
+        golden = os.path.join(
+            os.path.dirname(__file__), "worldlog", "golden", "run.worldlog"
+        )
+        out_dir = str(tmp_path / "views")
+        assert main(["log", "derive", golden, "--out", out_dir]) == 0
+        assert "2 artifact(s)" in capsys.readouterr().out
+        assert sorted(os.listdir(out_dir)) == [
+            "BENCH_golden.json",
+            "certificates",
+        ]
+        # An uncertified attack has no artifact to derive, and the
+        # ledger events never become a file of their own.
         log_path = self._attack_into_worldlog(tmp_path)
         capsys.readouterr()
-        out_dir = str(tmp_path / "views")
-        assert main(["log", "derive", log_path, "--out", out_dir]) == 0
-        import os
-
-        assert os.path.exists(os.path.join(out_dir, "ledger.jsonl"))
-        assert os.path.exists(os.path.join(out_dir, "checkpoints.json"))
+        empty_dir = str(tmp_path / "empty")
+        assert main(["log", "derive", log_path, "--out", empty_dir]) == 0
+        assert os.listdir(empty_dir) == []
 
     def test_trace_sniffs_a_world_log(self, tmp_path, capsys):
         log_path = self._attack_into_worldlog(tmp_path)
@@ -881,7 +929,9 @@ class TestObservabilityCommands:
             ["attack", "silent", "--n", "8", "--t", "4", "--telemetry"]
         )
         assert code == 1
-        assert "pass --ledger PATH.worldlog" in capsys.readouterr().err
+        assert "pass --ledger PATH to give it a log" in (
+            capsys.readouterr().err
+        )
 
     # ------------------------------------------------------------------
     # telemetry recording end to end
@@ -912,7 +962,7 @@ class TestObservabilityCommands:
         assert main(["log", "tail", log_path]) == 0
         out = capsys.readouterr().out
         assert "log.open" in out
-        assert "checkpoint" in out
+        assert "ledger.event" in out
 
     def test_log_tail_missing_file_is_an_environment_failure(
         self, tmp_path, capsys

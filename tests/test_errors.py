@@ -47,7 +47,7 @@ class TestHierarchy:
 
 
 class TestUniformArtifactDiagnostic:
-    """All four artifact loaders share one malformed-file diagnostic.
+    """Every artifact loader shares one malformed-file diagnostic.
 
     The shared :mod:`repro.artifact` chokepoint guarantees the message
     shape ``<path>[:<line>]: not a <kind> (<ExcType>: <detail>)`` and
@@ -60,26 +60,20 @@ class TestUniformArtifactDiagnostic:
         return str(path)
 
     def test_ledger_events(self, tmp_path):
+        """A pre-world-log JSONL event ledger is rejected as such."""
         from repro.errors import ArtifactError
-        from repro.obs.ledger import read_events
-
-        path = self._write(tmp_path, "garbage.jsonl", "not json\n")
-        with pytest.raises(ArtifactError) as excinfo:
-            read_events(path)
-        message = str(excinfo.value)
-        assert f"{path}:1: not a ledger event" in message
-
-    def test_trend_points(self, tmp_path):
-        from repro.errors import ArtifactError
-        from repro.obs.report import read_trend
+        from repro.worldlog.store import read_worldlog
 
         path = self._write(
-            tmp_path, "trend.jsonl", '{"ok": true}\n[1, 2]\n'
+            tmp_path,
+            "run.jsonl",
+            '{"ts": 1.0, "kind": "counter", "name": "cache.hits"}\n',
         )
         with pytest.raises(ArtifactError) as excinfo:
-            read_trend(path)
+            read_worldlog(path)
         message = str(excinfo.value)
-        assert f"{path}:2: not a trend point" in message
+        assert f"{path}:1: not a world-log record" in message
+        assert message.endswith("the file is not a world log")
 
     def test_bench_trajectory(self, tmp_path):
         from repro.errors import ArtifactError
@@ -123,4 +117,28 @@ class TestUniformArtifactDiagnostic:
         path = self._write(tmp_path, "garbage.jsonl", "not json\n")
         assert main(["trace", path]) == 2
         message = capsys.readouterr().err
-        assert "not a ledger event" in message
+        assert "not a world log" in message
+
+
+class TestBadSystemSize:
+    """``--n/--t`` outside ``2 <= t < n``: one ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "correct", "--n", "5", "--t", "8"],
+            ["attack", "correct", "--n", "4", "--t", "1"],
+            ["attack", "silent", "--n", "8", "--t", "8"],
+            ["certify", "silent", "--n", "5", "--t", "8"],
+            ["verify-witness", "unread.json", "silent", "--n", "5",
+             "--t", "8"],
+        ],
+    )
+    def test_rejected_without_a_traceback(self, argv, capsys):
+        from repro.cli import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().split("\n")
+        assert line.startswith("error: --n/--t need 2 <= t < n")

@@ -21,6 +21,9 @@ PACKAGES = [
     "repro.protocols",
     "repro.analysis",
     "repro.certify",
+    "repro.obs",
+    "repro.worldlog",
+    "repro.parallel",
 ]
 
 

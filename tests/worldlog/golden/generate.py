@@ -1,13 +1,12 @@
 """Regenerate the golden world log and its expected derived views.
 
 The committed fixture pins the *record → view* contract: CI (the
-``worldlog-replay`` job) and ``tests/worldlog/test_golden.py`` re-derive
-all five views from ``run.worldlog`` and byte-diff them against
-``expected/``.  The expected artifacts are written here by the **legacy
-writers themselves** (``RunLedger.write``, ``Certificate.to_bytes``, the
-``BENCH_<suite>.json`` document format, the trend appender), so the diff
-proves the views reproduce the writers' bytes — not merely their own
-earlier output.
+``worldlog-replay`` job) and ``tests/worldlog/test_golden.py`` derive
+the certificate and bench views from ``run.worldlog`` and byte-diff
+them against ``expected/``.  The expected artifacts are written here by
+the artifact writers themselves (``Certificate.to_bytes`` and the
+``BENCH_<suite>.json`` document format), so the diff proves the views
+reproduce the writers' bytes — not merely their own earlier output.
 
 Regenerate (only when the record schema or a writer legitimately
 changes) from the repository root::
@@ -21,14 +20,14 @@ that changes bytes should be a reviewed, deliberate event.
 import itertools
 import json
 import os
+import shutil
 
 from repro.lowerbound.driver import attack_weak_consensus
 from repro.obs.bench import BENCH_SCHEMA
 from repro.obs.ledger import RunLedger
 from repro.obs.tracer import LedgerTracer
 from repro.protocols.subquadratic import silent_cheater_spec
-from repro.worldlog import WorldLog, read_worldlog
-from repro.worldlog.views import checkpoint_manifest
+from repro.worldlog import WorldLog
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 LOG_PATH = os.path.join(HERE, "run.worldlog")
@@ -41,14 +40,6 @@ BENCH_POINT = {
     "tier": "quick",
     "wall_seconds_median": 0.125,
     "unix_time": 0.0,
-}
-TREND_POINT = {
-    "ts": 0.0,
-    "label": "attack/silent-cheater/n8/t4",
-    "wall_seconds": 0.125,
-    "rounds_simulated": 10,
-    "events": 3,
-    "violation": True,
 }
 
 
@@ -74,15 +65,13 @@ def main() -> None:
         worldlog=worldlog,
     )
     worldlog.append("bench.point", BENCH_POINT, worker_id=1)
-    worldlog.append("trend.point", TREND_POINT, worker_id=1)
     worldlog.close()
 
-    os.makedirs(EXPECTED, exist_ok=True)
-    # ledger: the current writer's own bytes for this very run.
-    ledger.write(os.path.join(EXPECTED, "ledger.jsonl"))
-    # certificate: the canonical bytes the legacy artifact ships.
+    shutil.rmtree(EXPECTED, ignore_errors=True)
+    os.makedirs(EXPECTED)
+    # certificate: the canonical bytes the artifact file ships.
     cert_dir = os.path.join(EXPECTED, "certificates")
-    os.makedirs(cert_dir, exist_ok=True)
+    os.makedirs(cert_dir)
     label = f"{outcome.protocol}-n8-t4"
     with open(os.path.join(cert_dir, f"{label}.cert.json"), "wb") as out:
         out.write(outcome.certificate.to_bytes())
@@ -92,23 +81,6 @@ def main() -> None:
     ) as out:
         json.dump(
             {"schema": BENCH_SCHEMA, "points": [BENCH_POINT]},
-            out,
-            indent=2,
-            sort_keys=True,
-        )
-        out.write("\n")
-    # trend: one JSONL line per point, the appender's format.
-    with open(
-        os.path.join(EXPECTED, "trend.jsonl"), "w", encoding="utf-8"
-    ) as out:
-        out.write(json.dumps(TREND_POINT) + "\n")
-    # checkpoints: no legacy writer exists — this view is pinned
-    # against its own generation-time rendering (pure regression).
-    with open(
-        os.path.join(EXPECTED, "checkpoints.json"), "w", encoding="utf-8"
-    ) as out:
-        json.dump(
-            checkpoint_manifest(read_worldlog(LOG_PATH)),
             out,
             indent=2,
             sort_keys=True,

@@ -1,9 +1,9 @@
 """The semantic log differ: what counts as "the same run".
 
-The acceptance bar from the time-travel issue: ``diff_logs`` must be
-empty for (a) a log against itself, (b) object-engine vs mask-kernel
-runs of the same matrix, and (c) an uninterrupted run vs its
-killed-and-resumed twin — while a *real* divergence (different values,
+``diff_logs`` must be empty for (a) a log against itself, (b) two
+recorded runs of the same matrix, and (c) an uninterrupted run vs its
+killed-and-resumed twin (a recorded run is also checked against the
+untraced mask-kernel outcome) — while a *real* divergence (different values,
 different record order) is reported at its first aligned position with
 both payloads rendered.
 """
@@ -23,7 +23,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_LOG = os.path.join(HERE, "golden", "run.worldlog")
 
 
-def _attack_log(path, kernel="auto"):
+def _attack_log(path):
     """One recorded attack run (the CLI's ``--ledger *.worldlog`` path)."""
     from repro.lowerbound.driver import attack_weak_consensus
     from repro.obs.ledger import RunLedger
@@ -37,7 +37,6 @@ def _attack_log(path, kernel="auto"):
             certify=True,
             tracer=LedgerTracer(ledger),
             worldlog=worldlog,
-            kernel=kernel,
         )
     return read_worldlog(str(path))
 
@@ -59,10 +58,34 @@ class TestEmptyDiffs:
         assert report.ok, report.render()
 
     def test_object_vs_mask_kernel_runs(self, tmp_path):
-        a = _attack_log(tmp_path / "object.worldlog", kernel="object")
-        b = _attack_log(tmp_path / "mask.worldlog", kernel="mask")
-        report = diff_logs(a, b)
-        assert report.ok, report.render()
+        """A recorded run reaches the untraced mask-kernel outcome.
+
+        Recording forces the object engine, so two recorded logs would
+        compare that engine with itself.  The recorded run is compared
+        with an untraced ``kernel="mask"`` run instead, and the
+        ``masks_built`` counter shows that only the latter used masks.
+        """
+        from repro.lowerbound.driver import attack_weak_consensus
+        from repro.obs.ledger import RunLedger
+        from repro.obs.tracer import LedgerTracer
+        from repro.protocols.subquadratic import silent_cheater_spec
+        from repro.sim.engine import object_counts, object_counts_delta
+
+        spec = silent_cheater_spec(8, 4)
+        before = object_counts()
+        with WorldLog.create(str(tmp_path / "recorded.worldlog")) as log:
+            recorded = attack_weak_consensus(
+                spec,
+                tracer=LedgerTracer(RunLedger(sink=log.record_event)),
+                worldlog=log,
+                kernel="mask",
+            )
+        assert object_counts_delta(before)["masks_built"] == 0
+        before = object_counts()
+        untraced = attack_weak_consensus(spec, kernel="mask")
+        assert object_counts_delta(before)["masks_built"] > 0
+        assert recorded == untraced
+        assert recorded.found_violation
 
     def test_uninterrupted_vs_resumed_twin(self):
         """A crash mid-gather leaves stale events + an extra marker.
@@ -249,9 +272,9 @@ class TestTelemetryTwins:
 
         assert "telemetry.snapshot" in OBSERVABILITY_KINDS
         records = [
-            Record(tick=0, kind="trend.point", payload={}, run_id="r"),
+            Record(tick=0, kind="bench.point", payload={}, run_id="r"),
             Record(tick=1, kind="telemetry.snapshot",
                    payload={"seq": 0}, run_id="r"),
         ]
         kept = comparable_records(records)
-        assert [record.kind for record in kept] == ["trend.point"]
+        assert [record.kind for record in kept] == ["bench.point"]

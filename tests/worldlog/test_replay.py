@@ -22,10 +22,8 @@ from repro.worldlog import (
 )
 from repro.worldlog.views import (
     certificate_texts,
-    checkpoint_manifest,
     jobs_manifest,
-    ledger_lines,
-    trend_points,
+    ledger_events,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -55,20 +53,12 @@ class TestPrefixInvariant:
             prefix = records[:k]
             state = replay_state(prefix)
             # ledger view: the events the state accumulated are exactly
-            # the derived ledger lines (after-last-gather rule shared).
+            # the derived ledger events (after-last-gather rule shared).
             assert [
                 json.dumps(payload) for payload in state.events
-            ] == ledger_lines(prefix)
+            ] == [event.to_json() for event in ledger_events(prefix)]
             # certificates view.
             assert state.certificates == list(certificate_texts(prefix))
-            # checkpoints view.
-            assert state.checkpoints == len(
-                checkpoint_manifest(prefix)["checkpoints"]
-            )
-            # trend view.
-            assert state.kind_counts.get("trend.point", 0) == len(
-                trend_points(prefix)
-            )
             # jobs view: same keys, same states.
             manifest = jobs_manifest(prefix)
             assert {
@@ -230,16 +220,6 @@ class TestLogStats:
         # cache: 2 hits + 1 alias over 8 lookups (committed fixture).
         assert 0 < document["cache_hit_rate"] < 1
 
-    def test_document_feeds_the_trend_comparison_policy(self):
-        from repro.obs.report import trend_delta
-
-        records = _golden()
-        a = log_stats(records, now=1.0)
-        b = log_stats(records, now=2.0)
-        delta = trend_delta(b, a)
-        assert delta.ok
-        assert delta.notes == ()  # deterministic counters identical
-
     def test_tenant_accounting_includes_rejections(self):
         document = log_stats(_sweep_like_records())
         assert document["tenants"]["alice"]["submitted"] == 1
@@ -285,7 +265,7 @@ class TestSelectRecordsStreaming:
 
         def source():
             for tick in range(count):
-                yield Record(tick=tick, kind="trend.point",
+                yield Record(tick=tick, kind="bench.point",
                              payload={"i": tick}, run_id="r")
 
         tail = select_records(source(), tail=5)
@@ -296,7 +276,7 @@ class TestSelectRecordsStreaming:
     def test_tail_composes_with_filters_over_a_generator(self):
         def source():
             for tick in range(1000):
-                kind = "ledger.event" if tick % 2 else "trend.point"
+                kind = "ledger.event" if tick % 2 else "bench.point"
                 yield Record(tick=tick, kind=kind, payload={},
                              run_id="r")
 
@@ -305,7 +285,7 @@ class TestSelectRecordsStreaming:
 
     def test_tail_larger_than_the_log_keeps_everything(self):
         records = [
-            Record(tick=tick, kind="trend.point", payload={})
+            Record(tick=tick, kind="bench.point", payload={})
             for tick in range(4)
         ]
         assert select_records(iter(records), tail=100) == records

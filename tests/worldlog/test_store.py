@@ -15,7 +15,6 @@ from repro.worldlog import (
     WORLDLOG_SCHEMA,
     Record,
     WorldLog,
-    is_worldlog,
     log_order_signature,
     read_worldlog,
 )
@@ -53,7 +52,7 @@ class TestRecord:
         appended.
         """
         payload = {"b": 1, "a": [None, True, "x"]}
-        record = Record(tick=1, kind="trend.point", payload=payload)
+        record = Record(tick=1, kind="bench.point", payload=payload)
         line = record.to_json()
         assert json.dumps(payload) in line
 
@@ -85,7 +84,7 @@ class TestWorldLog:
     def test_create_appends_header(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("bench.point", {"label": "x"})
         records = read_worldlog(path)
         assert records[0].kind == "log.open"
         assert records[0].payload == {"schema": WORLDLOG_SCHEMA}
@@ -95,7 +94,7 @@ class TestWorldLog:
         """Every appended record is on disk before append returns."""
         path = str(tmp_path / "run.worldlog")
         log = WorldLog.create(path, run_id="r")
-        log.append("trend.point", {"label": "x"})
+        log.append("bench.point", {"label": "x"})
         # Read *without* closing the writer: a crash at this point must
         # not lose the record.
         assert len(read_worldlog(path)) == 2
@@ -104,7 +103,7 @@ class TestWorldLog:
     def test_torn_tail_dropped(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("bench.point", {"label": "x"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"tick": 2, "kind": "cell.re')  # killed writer
         assert len(read_worldlog(path)) == 2
@@ -112,7 +111,7 @@ class TestWorldLog:
     def test_malformed_middle_line_raises(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("bench.point", {"label": "x"})
         text = open(path, encoding="utf-8").read()
         lines = text.splitlines()
         lines.insert(1, "garbage")
@@ -125,13 +124,13 @@ class TestWorldLog:
     def test_resume_truncates_tail_and_continues_ticks(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("bench.point", {"label": "x"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"tick": 2, "kind": "cell.re')
         with WorldLog.resume(path) as log:
             assert log.run_id == "r"
             assert log.next_tick == 2
-            log.append("trend.point", {"label": "y"})
+            log.append("bench.point", {"label": "y"})
         records = read_worldlog(path)
         assert [record.tick for record in records] == [0, 1, 2]
         assert records[-1].payload == {"label": "y"}
@@ -145,20 +144,11 @@ class TestWorldLog:
         assert "not a world-log record" in str(excinfo.value)
         # Valid record envelopes without the log.open header: rejected.
         path = tmp_path / "headless.worldlog"
-        record = Record(tick=0, kind="trend.point", payload={})
+        record = Record(tick=0, kind="bench.point", payload={})
         path.write_text(record.to_json() + "\n")
         with pytest.raises(ArtifactError) as excinfo:
             read_worldlog(str(path))
         assert "not a world log" in str(excinfo.value)
-
-    def test_is_worldlog_sniff(self, tmp_path):
-        log_path = str(tmp_path / "run.worldlog")
-        WorldLog.create(log_path, run_id="r").close()
-        legacy = tmp_path / "ledger.jsonl"
-        legacy.write_text('{"ts": 1, "kind": "counter", "name": "x"}\n')
-        assert is_worldlog(log_path)
-        assert not is_worldlog(str(legacy))
-        assert not is_worldlog(str(tmp_path / "missing"))
 
     def test_record_event_mirrors_ledger(self, tmp_path):
         from repro.obs.ledger import RunLedger
@@ -193,8 +183,8 @@ class TestReadRecordsUnification:
     def _torn_log(self, tmp_path):
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("checkpoint", {"rounds": 1})
-            log.append("trend.point", {"label": "x"})
+            log.append("bench.point", {"rounds": 1})
+            log.append("bench.point", {"label": "x"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"tick": 3, "kind": "cell.resu')  # torn tail
         return path
@@ -232,7 +222,7 @@ class TestReadRecordsUnification:
         from repro.worldlog import read_records
 
         path = tmp_path / "headless.worldlog"
-        record = Record(tick=0, kind="trend.point", payload={})
+        record = Record(tick=0, kind="bench.point", payload={})
         path.write_text(record.to_json() + "\n")
         assert read_records(str(path)) == [record]
         with pytest.raises(ArtifactError):
@@ -251,8 +241,8 @@ class TestLogTailer:
         first = tailer.poll()
         assert [record.kind for record in first] == ["log.open"]
         assert tailer.poll() == []  # nothing new
-        log.append("trend.point", {"label": "x"})
-        log.append("trend.point", {"label": "y"})
+        log.append("bench.point", {"label": "x"})
+        log.append("bench.point", {"label": "y"})
         batch = [record.payload["label"] for record in tailer.poll()]
         assert batch == ["x", "y"]
         assert tailer.poll() == []
@@ -265,7 +255,7 @@ class TestLogTailer:
         WorldLog.create(path, run_id="r").close()
         tailer = LogTailer(path)
         tailer.poll()
-        record = Record(tick=1, kind="trend.point", payload={"a": 1})
+        record = Record(tick=1, kind="bench.point", payload={"a": 1})
         line = record.to_json() + "\n"
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(line[:10])  # mid-write: no newline yet
@@ -279,7 +269,7 @@ class TestLogTailer:
 
         path = str(tmp_path / "run.worldlog")
         with WorldLog.create(path, run_id="r") as log:
-            log.append("trend.point", {"label": "x"})
+            log.append("bench.point", {"label": "x"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"tick": 2, "kind": "cell.re')  # killed writer
         tailer = LogTailer(path)
@@ -288,7 +278,7 @@ class TestLogTailer:
         # Resume rewrites the file (drops the torn tail), shrinking it
         # below the tailer's offset, then appends a fresh record.
         with WorldLog.resume(path) as log:
-            log.append("trend.point", {"label": "y"})
+            log.append("bench.point", {"label": "y"})
         fresh = tailer.poll()
         assert [record.payload for record in fresh] == [{"label": "y"}]
 

@@ -1,12 +1,8 @@
-"""Derived views are byte-identical to the legacy writers' output.
+"""Derived views: artifact files and ledger events read from a world log.
 
-Two directions, one run each:
-
-* *record → view*: the artifacts derived from a world log match what
-  the legacy writer would have persisted for the same run, byte for
-  byte;
-* *legacy → record → view* (``repro log import``): a legacy artifact
-  folded into a world log derives back to its original bytes.
+*record → view*: the artifacts derived from a world log match what the
+artifact writer persists for the same run, byte for byte, and the
+ledger events read back equal the live run ledger's.
 """
 
 import json
@@ -17,13 +13,7 @@ from repro.obs.ledger import RunLedger
 from repro.obs.tracer import LedgerTracer
 from repro.protocols.subquadratic import silent_cheater_spec
 from repro.worldlog import WorldLog, derive_views, read_worldlog
-from repro.worldlog.legacy import import_legacy
-from repro.worldlog.views import (
-    CHECKPOINTS_SCHEMA,
-    certificate_texts,
-    checkpoint_manifest,
-    ledger_lines,
-)
+from repro.worldlog.views import certificate_texts, ledger_events
 
 
 def _read(path):
@@ -35,17 +25,26 @@ class TestDerivedViews:
     def test_ledger_view_byte_identical_to_run_ledger_write(
         self, tmp_path
     ):
+        """The events read back are byte for byte what the ledger wrote."""
         log_path = str(tmp_path / "run.worldlog")
-        legacy_path = str(tmp_path / "run.jsonl")
         with WorldLog.create(log_path, run_id="r") as log:
             ledger = RunLedger(run_id="r", sink=log.record_event)
             attack_weak_consensus(
-                silent_cheater_spec(8, 4), tracer=LedgerTracer(ledger)
+                silent_cheater_spec(8, 4),
+                tracer=LedgerTracer(ledger),
+                worldlog=log,
             )
-            ledger.write(legacy_path)
         records = read_worldlog(log_path)
-        written = derive_views(records, str(tmp_path / "views"))
-        assert _read(written["ledger"][0]) == _read(legacy_path)
+        assert [event.to_json() for event in ledger_events(records)] == [
+            event.to_json() for event in ledger.events
+        ]
+        # The driver's fault-free checkpoints stay in memory.
+        assert {record.kind for record in records} == {
+            "log.open",
+            "ledger.event",
+        }
+        # Ledger events are read in memory only: no file view.
+        assert derive_views(records, str(tmp_path / "views")) == {}
 
     def test_certificate_view_byte_identical_to_artifact(self, tmp_path):
         log_path = str(tmp_path / "run.worldlog")
@@ -62,19 +61,6 @@ class TestDerivedViews:
         assert os.path.basename(cert_path) == f"{label}.cert.json"
         assert _read(cert_path).encode() == outcome.certificate.to_bytes()
 
-    def test_checkpoint_records_land_in_manifest(self, tmp_path):
-        log_path = str(tmp_path / "run.worldlog")
-        with WorldLog.create(log_path, run_id="r") as log:
-            attack_weak_consensus(
-                silent_cheater_spec(8, 4), worldlog=log
-            )
-        manifest = checkpoint_manifest(read_worldlog(log_path))
-        assert manifest["schema"] == CHECKPOINTS_SCHEMA
-        assert manifest["checkpoints"], "reuse stored no checkpointer"
-        for note in manifest["checkpoints"]:
-            assert note["protocol"] == "silent-cheater"
-            assert note["enabled"] is True
-
     def test_ledger_view_reads_after_last_gather_marker(self, tmp_path):
         """Crash-mid-gather safety: only the final splice survives."""
         log_path = str(tmp_path / "run.worldlog")
@@ -83,100 +69,8 @@ class TestDerivedViews:
             ledger.emit("counter", "stale.splice", value=1)
             log.append("gather.start", {"cells": 1})
             ledger.emit("counter", "final.splice", value=1)
-        lines = ledger_lines(read_worldlog(log_path))
-        names = [json.loads(line)["name"] for line in lines]
-        assert names == ["final.splice"]
-
-
-class TestLegacyImport:
-    def _legacy_artifacts(self, tmp_path):
-        from repro.obs.bench import BENCH_SCHEMA
-        from repro.obs.report import append_trend
-
-        paths = {}
-        # ledger: the current writer's bytes
-        ledger = RunLedger(run_id="legacy", worker_id=1)
-        ledger.emit("counter", "cache.hits", value=3, cell_id="c")
-        ledger.emit("gauge", "bound.vs_floor", value=1.5)
-        paths["ledger"] = str(tmp_path / "run.jsonl")
-        ledger.write(paths["ledger"])
-        # certificate: a real attack artifact
-        outcome = attack_weak_consensus(
-            silent_cheater_spec(8, 4), certify=True
-        )
-        paths["certificate"] = str(
-            tmp_path / "silent-cheater-n8-t4.cert.json"
-        )
-        with open(paths["certificate"], "wb") as handle:
-            handle.write(outcome.certificate.to_bytes())
-        # bench: the trajectory document format append_points writes
-        point = {
-            "schema": BENCH_SCHEMA,
-            "suite": "demo",
-            "kernel": "k",
-            "wall_seconds_median": 0.25,
-        }
-        paths["bench"] = str(tmp_path / "BENCH_demo.json")
-        with open(paths["bench"], "w", encoding="utf-8") as handle:
-            json.dump(
-                {"schema": BENCH_SCHEMA, "points": [point]},
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        # trend: the current appender's bytes
-        paths["trend"] = str(tmp_path / "trend.jsonl")
-        append_trend(
-            paths["trend"],
-            {
-                "ts": 1.0,
-                "label": "canary",
-                "wall_seconds": 0.5,
-                "rounds_simulated": 10,
-                "events": 3,
-            },
-        )
-        return paths
-
-    def test_roundtrip_byte_identical(self, tmp_path):
-        paths = self._legacy_artifacts(tmp_path)
-        log_path = str(tmp_path / "imported.worldlog")
-        counts = import_legacy(list(paths.values()), log_path)
-        assert counts == {
-            "ledger": 2,
-            "certificate": 1,
-            "bench": 1,
-            "trend": 1,
-        }
-        written = derive_views(
-            read_worldlog(log_path), str(tmp_path / "views")
-        )
-        assert _read(written["ledger"][0]) == _read(paths["ledger"])
-        assert _read(written["certificates"][0]) == _read(
-            paths["certificate"]
-        )
-        assert _read(written["bench"][0]) == _read(paths["bench"])
-        assert _read(written["trend"][0]) == _read(paths["trend"])
-
-    def test_unknown_family_rejected_before_writing(self, tmp_path):
-        import pytest
-
-        from repro.errors import ArtifactError
-
-        good = str(tmp_path / "trend.jsonl")
-        with open(good, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps({"label": "x", "wall_seconds": 0.1}) + "\n"
-            )
-        bad = str(tmp_path / "mystery.json")
-        with open(bad, "w", encoding="utf-8") as handle:
-            handle.write('{"what": "ever"}')
-        out = str(tmp_path / "out.worldlog")
-        with pytest.raises(ArtifactError):
-            import_legacy([good, bad], out)
-        # The sniff pass runs first: nothing was partially written.
-        assert not os.path.exists(out)
+        events = ledger_events(read_worldlog(log_path))
+        assert [event.name for event in events] == ["final.splice"]
 
 
 class TestJobsView:
