@@ -12,8 +12,8 @@ workloads:
 * the *fork fan-out* — the Lemma-4 batched scan primitive
   (:class:`~repro.sim.kernel.PrefixForker` + ``fork_kernel``) vs
   fresh full-horizon kernel runs;
-* the *end-to-end pair* — the full lower-bound attack under
-  ``kernel="mask"`` vs ``kernel="object"``.
+* the *end-to-end pair* — the full lower-bound attack under the
+  default ``kernel="auto"`` (the mask kernel) vs ``kernel="object"``.
 
 Both engines run the same machines, and every kernel result is
 asserted against the object engine's, so a timing run doubles as an
@@ -146,12 +146,8 @@ def bench_kernel_fork_fanout(benchmark):
 
 
 def bench_kernel_attack_mask(benchmark):
-    """The full lower-bound attack with the mask kernel selected."""
-    outcome = benchmark(
-        lambda: attack_weak_consensus(
-            ring_token_spec(12, 8), kernel="mask"
-        )
-    )
+    """The full lower-bound attack on the default (mask) kernel."""
+    outcome = benchmark(lambda: attack_weak_consensus(ring_token_spec(12, 8)))
     assert outcome.found_violation
 
 
@@ -176,7 +172,7 @@ _register("kernel", "flood_object_n48", _flood_object, quick=True)
 
 
 def _observatory_attack_mask():
-    outcome = attack_weak_consensus(ring_token_spec(12, 8), kernel="mask")
+    outcome = attack_weak_consensus(ring_token_spec(12, 8))
     assert outcome.found_violation
     return outcome
 

@@ -71,9 +71,9 @@ def load_artifact(
         ArtifactError: when the document does not parse (CLI exit 2).
         OSError: if the file cannot be read.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        return parse(text)
+        return parse(data.decode("utf-8"))
     except _PARSE_FAILURES as exc:
         raise artifact_error(path, kind, exc) from exc

@@ -35,7 +35,7 @@ Subcommands:
 
 Stream discipline: *results* (experiment reports, attack renders, sweep
 tables, verdicts, trace timelines, bench tables) go to stdout;
-*diagnostics* (the ``--log`` narrative, profile/timing tables, live
+*diagnostics* (the ``--log`` narrative, ``--profile`` traces, live
 sweep progress, "written to" notices, rejection details, errors) go to
 stderr, so piped output stays clean.  Every failure path exits nonzero:
 ``1`` for domain failures (violated expectations, rejected artifacts,
@@ -53,43 +53,16 @@ from typing import Sequence
 from repro.errors import ArtifactError, ReproError
 from repro.experiments import ALL_EXPERIMENTS, CHEATERS
 from repro.lowerbound.driver import attack_weak_consensus
-from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
-from repro.solvability.theorem import classify
-from repro.validity.standard import (
-    byzantine_broadcast_problem,
-    correct_proposal_problem,
-    interactive_consistency_problem,
-    strong_consensus_problem,
-    weak_consensus_problem,
+from repro.parallel.jobs import (
+    registered_builders,
+    registered_problems,
+    resolve_builder,
+    resolve_problem,
 )
+from repro.solvability.theorem import classify
 
-_PROBLEMS = {
-    "weak": weak_consensus_problem,
-    "strong": strong_consensus_problem,
-    "broadcast": byzantine_broadcast_problem,
-    "ic": interactive_consistency_problem,
-    "correct-proposal": correct_proposal_problem,
-}
-
-
-def _sweepable_builders():
-    from repro.protocols.dolev_strong import dolev_strong_spec
-    from repro.protocols.interactive_consistency import (
-        authenticated_ic_spec,
-    )
-
-    builders = {
-        "weak-consensus": lambda n, t: broadcast_weak_consensus_spec(
-            n, t
-        ),
-        "dolev-strong": lambda n, t: dolev_strong_spec(n, t),
-        "ic": lambda n, t: authenticated_ic_spec(n, t),
-    }
-    builders.update(CHEATERS)
-    return builders
-
-
-_SWEEPABLE = _sweepable_builders()
+_ATTACKABLE = [*sorted(CHEATERS), "correct", "naive-flooding"]
+"""The weak consensus candidates ``attack``/``certify``/``verify-*`` take."""
 
 
 def _info(message: str) -> None:
@@ -206,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     attack.add_argument(
         "protocol",
-        choices=sorted(CHEATERS) + ["correct", "naive-flooding"],
+        choices=_ATTACKABLE,
         help=(
             "which candidate weak consensus to attack "
             "(naive-flooding is incorrect but quadratic: the driver "
@@ -238,19 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help=(
-            "print wall-clock phase and per-round timings (to stderr)"
+            "trace the attack and print its phase tree and slowest "
+            "rounds (to stderr; the object engine runs)"
         ),
     )
     attack.add_argument(
         "--kernel",
-        choices=("auto", "object", "mask"),
+        choices=("auto", "object"),
         default="auto",
         help=(
             "round-engine selection: 'auto' runs the bitmask kernel "
-            "whenever representable, 'object' forces the per-message "
-            "engine, 'mask' requests the kernel (profiling/tracing "
-            "still fall back to the object engine); outcomes are "
-            "engine-independent"
+            "unless the run is traced, 'object' forces the "
+            "per-message engine; outcomes are engine-independent"
         ),
     )
     _ledger_option(attack)
@@ -263,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("path", help="witness JSON file")
     verify.add_argument(
         "protocol",
-        choices=sorted(CHEATERS) + ["correct", "naive-flooding"],
+        choices=_ATTACKABLE,
         help="the protocol the witness claims to break",
     )
     verify.add_argument("--n", type=int, default=16)
@@ -278,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify_parser.add_argument(
         "protocol",
-        choices=sorted(CHEATERS)
-        + ["correct", "naive-flooding", "matrix"],
+        choices=[*_ATTACKABLE, "matrix"],
         help=(
             "which candidate to certify, or 'matrix' for one artifact "
             "per seed cheater-matrix cell"
@@ -315,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cert.add_argument(
         "--replay",
         metavar="PROTOCOL",
-        choices=sorted(CHEATERS) + ["correct", "naive-flooding"],
+        choices=_ATTACKABLE,
         help=(
             "additionally replay every recorded behavior against this "
             "protocol's live code (n, t are read from each artifact)"
@@ -326,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="classify a standard agreement problem"
     )
     classify_parser.add_argument(
-        "problem", choices=sorted(_PROBLEMS), help="which problem"
+        "problem", choices=registered_problems(), help="which problem"
     )
     classify_parser.add_argument("--n", type=int, default=4)
     classify_parser.add_argument("--t", type=int, default=1)
@@ -337,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "protocol",
-        choices=sorted(_SWEEPABLE),
+        choices=registered_builders(),
         help="which protocol to measure",
     )
     sweep_parser.add_argument("--max-t", type=int, default=8)
@@ -896,13 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_protocol(name: str, n: int, t: int):
     """Resolve an attack/verify protocol name to a spec."""
-    if name == "correct":
-        return broadcast_weak_consensus_spec(n, t)
-    if name == "naive-flooding":
-        from repro.protocols.weak_consensus import naive_flooding_spec
-
-        return naive_flooding_spec(n, t)
-    return CHEATERS[name](n, t)
+    return resolve_builder(name)(n, t)
 
 
 def _size_error(n: int, t: int) -> str | None:
@@ -1045,6 +1010,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.obs.tracer import NULL_TRACER, LedgerTracer
 
         ledger, worldlog = _make_ledger(args.ledger)
+        if ledger is None and args.profile:
+            from repro.obs.ledger import RunLedger
+
+            ledger = RunLedger()
         tracer = (
             LedgerTracer(ledger) if ledger is not None else NULL_TRACER
         )
@@ -1054,7 +1023,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             spec,
             check=not args.no_check,
             early_stop=args.early_stop,
-            profile=args.profile,
             tracer=tracer,
             worldlog=worldlog,
             telemetry=telemetry,
@@ -1062,9 +1030,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         if telemetry is not None:
             telemetry.close()
-        print(outcome.render(profile=False))
-        if outcome.profile is not None:
-            _info(outcome.profile.render())
+        print(outcome.render())
+        if args.profile:
+            from repro.obs.report import render_trace
+
+            _info(render_trace(ledger.events))
         if args.log:
             _info("\n".join(outcome.log))
         if args.save and outcome.witness is not None:
@@ -1086,13 +1056,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         expected_violation = args.protocol in CHEATERS
         return 0 if outcome.found_violation == expected_violation else 1
     if args.command == "verify-witness":
+        from repro.artifact import load_artifact
         from repro.errors import ModelViolation
         from repro.lowerbound.witnesses import verify_witness
         from repro.sim.serialization import load_witness
 
         spec = _resolve_protocol(args.protocol, args.n, args.t)
-        with open(args.path) as handle:
-            witness = load_witness(handle.read())
+        witness = load_artifact(args.path, "violation witness", load_witness)
         try:
             verify_witness(witness, spec.factory)
         except ModelViolation as error:
@@ -1157,17 +1127,20 @@ def _dispatch(args: argparse.Namespace) -> int:
                 blob = handle.read()
             factory = None
             if args.replay:
-                claim = json.loads(blob.decode("utf-8")).get("claim", {})
-                factory = _resolve_protocol(
-                    args.replay, claim.get("n", 0), claim.get("t", 0)
-                ).factory
+                try:
+                    claim = json.loads(blob.decode("utf-8"))["claim"]
+                    n, t = int(claim["n"]), int(claim["t"])
+                except (ValueError, KeyError, TypeError):
+                    n = t = 0  # the verifier names what is malformed
+                if _size_error(n, t) is None:
+                    factory = _resolve_protocol(args.replay, n, t).factory
             report = verify_certificate(blob, factory=factory)
             print(f"{path}: {report.render()}")
             if not report.ok:
                 failures += 1
         return 1 if failures else 0
     if args.command == "classify":
-        problem = _PROBLEMS[args.problem](args.n, args.t)
+        problem = resolve_problem(args.problem)(args.n, args.t)
         print(classify(problem).render())
         return 0
     if args.command == "sweep":

@@ -59,7 +59,6 @@ engine-agnostic.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -82,11 +81,6 @@ from repro.omission.isolation import isolate_group, quiescent_toward
 from repro.omission.masks import compile_omissions
 from repro.omission.merge import MergeSpec, merge
 from repro.omission.swap import swap_omission_checked
-from repro.parallel.profiling import (
-    AttackProfile,
-    PhaseTimer,
-    ProfilingObserver,
-)
 from repro.protocols.base import ProtocolSpec
 from repro.sim.engine import (
     EarlyStopPolicy,
@@ -252,16 +246,11 @@ class AttackOutcome:
         rounds_simulated: rounds the engine actually simulated.
         rounds_baseline: rounds a reuse-free pipeline (one full-horizon
             simulation per distinct configuration) would have simulated.
-        profile: wall-clock phase/round timings when profiling was
-            requested (``None`` otherwise).  Excluded from equality:
-            two runs of one attack agree on witnesses and verdicts but
-            never on wall time.
         certificate: the portable v1 artifact packaging this outcome's
             claim (when certification was requested).  Excluded from
-            equality like ``profile``: the certificate is derived
-            evidence, and reuse-enabled and reuse-free runs of one
-            attack may embed differently-labeled (yet equally valid)
-            execution sets.
+            equality: the certificate is derived evidence, and
+            reuse-enabled and reuse-free runs of one attack may embed
+            differently-labeled (yet equally valid) execution sets.
     """
 
     protocol: str
@@ -275,7 +264,6 @@ class AttackOutcome:
     log: tuple[str, ...] = ()
     rounds_simulated: int = 0
     rounds_baseline: int = 0
-    profile: AttackProfile | None = field(default=None, compare=False)
     certificate: "Certificate | None" = field(default=None, compare=False)
 
     @property
@@ -283,14 +271,8 @@ class AttackOutcome:
         """Whether the candidate was broken."""
         return self.witness is not None
 
-    def render(self, profile: bool = True) -> str:
-        """A short report block.
-
-        Args:
-            profile: include the wall-clock profile block (callers that
-                route timings to a diagnostic stream pass ``False`` and
-                render ``self.profile`` separately).
-        """
+    def render(self) -> str:
+        """A short report block."""
         lines = [
             f"attack on {self.protocol} (n={self.n}, t={self.t}; "
             f"{self.partition.describe()})",
@@ -314,10 +296,6 @@ class AttackOutcome:
                 f"  certificate: schema v{self.certificate.schema}, "
                 f"{len(self.certificate.execution_labels)} execution(s) "
                 "embedded"
-            )
-        if profile and self.profile is not None:
-            lines.extend(
-                "  " + line for line in self.profile.render().splitlines()
             )
         return "\n".join(lines)
 
@@ -350,17 +328,15 @@ class LowerBoundDriver:
             and ``reuse`` replicates the simulate-everything pipeline.
         cache: a shared :class:`ExecutionCache`; by default each driver
             builds its own.
-        profile: record wall-clock timings — a
-            :class:`~repro.parallel.profiling.ProfilingObserver` on every
-            engine run plus per-phase driver spans — surfaced as
-            ``AttackOutcome.profile``.
-        tracer: the structured-telemetry sink (default: the shared
-            zero-overhead :data:`~repro.obs.tracer.NULL_TRACER`).  A
-            live :class:`~repro.obs.tracer.LedgerTracer` receives every
+        tracer: the structured-telemetry sink and the driver's only
+            wall-clock instrument (default: the shared zero-overhead
+            :data:`~repro.obs.tracer.NULL_TRACER`).  A live
+            :class:`~repro.obs.tracer.LedgerTracer` receives every
             pipeline phase as a span, every simulated round as an
-            ``engine.round`` event with message-count attributes, and
-            the final cache/bound counters — the run-ledger view of the
-            attack.  Telemetry never affects outcomes.
+            ``engine.round`` event with message-count and wall-time
+            attributes, and the final cache/bound counters — the
+            run-ledger view of the attack.  Telemetry never affects
+            outcomes.
         certify: package the outcome as a portable v1 attack
             certificate (``AttackOutcome.certificate``): the pipeline
             records which configuration produced each trace and which
@@ -375,18 +351,17 @@ class LowerBoundDriver:
             derived from the log is byte-identical to the file the CLI
             writes.  Recording never affects outcomes.
         kernel: which round engine simulates — ``"object"`` forces the
-            per-message object engine; ``"mask"`` requests the bitmask
-            kernel (:mod:`repro.sim.kernel`); ``"auto"`` (default)
-            selects the kernel whenever the run is kernel-representable.
-            The driver's adversaries (no-fault and Definition-1
-            isolation) always compile, so under ``auto`` the kernel
-            runs unless an engine-level observer is required: profiling
-            and live tracing consume per-round
+            per-message object engine; ``"auto"`` (default) selects the
+            bitmask kernel (:mod:`repro.sim.kernel`) whenever the run
+            is kernel-representable.  The driver's adversaries
+            (no-fault and Definition-1 isolation) always compile, so
+            under ``auto`` the kernel runs unless live tracing is on:
+            tracing consumes per-round
             :class:`~repro.sim.engine.RoundEvent` streams the kernel
-            does not produce, so both force the object engine (also
-            under ``"mask"``).  Both engines produce bit-identical
-            executions and therefore equal outcomes — witnesses,
-            bounds, logs and reuse counters; only speed differs.
+            does not produce, so it forces the object engine.  Both
+            engines produce bit-identical executions and therefore
+            equal outcomes — witnesses, bounds, logs and reuse
+            counters; only speed differs.
     """
 
     spec: ProtocolSpec
@@ -396,7 +371,6 @@ class LowerBoundDriver:
     early_stop: bool = True
     reuse: bool = True
     cache: ExecutionCache | None = None
-    profile: bool = False
     certify: bool = False
     tracer: Tracer = NULL_TRACER
     worldlog: "WorldLog | None" = None
@@ -404,8 +378,6 @@ class LowerBoundDriver:
     kernel: str = "auto"
     _use_kernel: bool = field(default=False, repr=False)
     _counts_at_start: dict | None = field(default=None, repr=False)
-    _phase_timer: PhaseTimer | None = field(default=None, repr=False)
-    _profiler: ProfilingObserver | None = field(default=None, repr=False)
     _metrics: "MetricsRegistry | None" = field(default=None, repr=False)
     _trace_observers: tuple = field(default=(), repr=False)
     _log: list[str] = field(default_factory=list, repr=False)
@@ -436,9 +408,6 @@ class LowerBoundDriver:
             raise ValueError("partition does not match the spec's (n, t)")
         if self.cache is None:
             self.cache = ExecutionCache()
-        if self.profile:
-            self._phase_timer = PhaseTimer()
-            self._profiler = ProfilingObserver()
         if self.tracer.enabled:
             from repro.obs.metrics import MetricsRegistry
 
@@ -464,17 +433,14 @@ class LowerBoundDriver:
                     floor=weak_consensus_floor(self.spec.t)
                 ),
             )
-        if self.kernel not in ("auto", "object", "mask"):
+        if self.kernel not in ("auto", "object"):
             raise ValueError(
-                f"kernel must be 'auto', 'object' or 'mask', "
-                f"not {self.kernel!r}"
+                f"kernel must be 'auto' or 'object', not {self.kernel!r}"
             )
-        # Profiling and live tracing need the object engine's per-round
-        # event stream; the kernel produces none, so they win.
+        # Live tracing needs the object engine's per-round event
+        # stream; the kernel produces none, so tracing wins.
         self._use_kernel = (
-            self.kernel != "object"
-            and not self.profile
-            and not self.tracer.enabled
+            self.kernel != "object" and not self.tracer.enabled
         )
         self._spec_key: _SpecKey = (
             self.spec.name,
@@ -498,13 +464,13 @@ class LowerBoundDriver:
         default_bit: Payload | None = None
         critical_round: Round | None = None
         try:
-            with self._phase("fault-free"):
+            with self.tracer.span("fault-free"):
                 self._fault_free_checks()
-            with self._phase("isolation-scan"):
+            with self.tracer.span("isolation-scan"):
                 decisions = self._round_one_isolations()
             default_bit = self._lemma3_consistency(decisions)
             if default_bit is not None:
-                with self._phase("isolation-scan"):
+                with self.tracer.span("isolation-scan"):
                     critical_round = self._critical_round_scan(
                         default_bit
                     )
@@ -514,7 +480,7 @@ class LowerBoundDriver:
         except _Found as found:
             witness = found.witness
             if self.verify:
-                with self._phase("witness-verify"):
+                with self.tracer.span("witness-verify"):
                     verify_witness(witness, self.spec.factory)
                 self._note("witness re-verified from scratch")
         assert self.partition is not None
@@ -527,12 +493,9 @@ class LowerBoundDriver:
             f"{self._prefix_rounds_skipped} prefix rounds skipped, "
             f"{self._early_stops} early stops)"
         )
-        profile: AttackProfile | None = None
-        if self._phase_timer is not None:
-            profile = self._phase_timer.profile(self._profiler)
         certificate: "Certificate | None" = None
         if self.certify:
-            with self._phase("certify"):
+            with self.tracer.span("certify"):
                 certificate = self._build_certificate(
                     witness, default_bit, critical_round
                 )
@@ -563,7 +526,6 @@ class LowerBoundDriver:
             log=tuple(self._log),
             rounds_simulated=self._rounds_simulated,
             rounds_baseline=self._rounds_baseline,
-            profile=profile,
             certificate=certificate,
         )
 
@@ -737,7 +699,7 @@ class LowerBoundDriver:
             round_b=round_b,
             round_c=round_c,
         )
-        with self._phase("merge"):
+        with self.tracer.span("merge"):
             merged = merge(spec, exec_b, exec_c, self.spec.factory)
         if self.certify:
             self._cert_merge_ctx = {
@@ -816,7 +778,7 @@ class LowerBoundDriver:
         )
         for pid in candidates:
             try:
-                with self._phase("swap"):
+                with self.tracer.span("swap"):
                     swapped = swap_omission_checked(execution, pid)
             except ModelViolation as error:
                 self._note(
@@ -1014,7 +976,7 @@ class LowerBoundDriver:
                 rounds=range(2, self.spec.rounds + 1)
             )
             observers.append(checkpointer)
-        observers.extend(self._engine_observers())
+        observers.extend(self._trace_observers)
         execution = self.spec.run_uniform(
             bit, None, check=self.check, observers=observers
         )
@@ -1159,7 +1121,7 @@ class LowerBoundDriver:
                 adversary,
                 prefix,
                 from_round,
-                observers=self._engine_observers(),
+                observers=self._trace_observers,
             )
             self._rounds_simulated += horizon - from_round + 1
             self._prefix_rounds_skipped += from_round - 1
@@ -1172,7 +1134,7 @@ class LowerBoundDriver:
         observers: list[RoundObserver] = [streaming]
         if self.early_stop and not full:
             observers.append(EarlyStopPolicy(scope="all"))
-        observers.extend(self._engine_observers())
+        observers.extend(self._trace_observers)
         execution = self.spec.run_uniform(
             bit, adversary, check=self.check, observers=observers
         )
@@ -1275,31 +1237,6 @@ class LowerBoundDriver:
             rounds=self.spec.rounds,
             check=self.check,
         )
-
-    def _phase(self, name: str):
-        """A span for ``name`` — timed and/or traced, no-op otherwise."""
-        if self._phase_timer is None and not self.tracer.enabled:
-            return nullcontext()
-        if self._phase_timer is None:
-            return self.tracer.span(name)
-        if not self.tracer.enabled:
-            return self._phase_timer.phase(name)
-        stack = ExitStack()
-        stack.enter_context(self._phase_timer.phase(name))
-        stack.enter_context(self.tracer.span(name))
-        return stack
-
-    def _engine_observers(self) -> tuple[RoundObserver, ...]:
-        """The telemetry observers attached to every engine run.
-
-        The tracing observers come before the profiler so profiled
-        round times keep their historical meaning (simulation plus the
-        checking observers, not the telemetry cost).
-        """
-        extra: tuple[RoundObserver, ...] = self._trace_observers
-        if self._profiler is not None:
-            extra = (*extra, self._profiler)
-        return extra
 
     def _flush_telemetry(self, witness: ViolationWitness | None) -> None:
         """Fold the pipeline's final counters into the metrics/ledger."""
@@ -1527,7 +1464,6 @@ def attack_weak_consensus(
     early_stop: bool = True,
     reuse: bool = True,
     cache: ExecutionCache | None = None,
-    profile: bool = False,
     certify: bool = False,
     tracer: Tracer = NULL_TRACER,
     worldlog: "WorldLog | None" = None,
@@ -1550,8 +1486,6 @@ def attack_weak_consensus(
             simulate-everything pipeline round for round).
         cache: a shared :class:`ExecutionCache` for attacking the same
             protocol repeatedly (e.g. across partitions).
-        profile: record wall-clock phase and per-round timings on
-            ``AttackOutcome.profile`` (timings never affect equality).
         certify: attach a portable v1 attack certificate
             (``AttackOutcome.certificate``) packaging the witness, its
             merge/swap provenance, the isolation and
@@ -1569,8 +1503,7 @@ def attack_weak_consensus(
             ``None`` (the default) costs nothing.
         kernel: round-engine selection — ``"auto"`` (default) runs the
             bitmask kernel whenever representable, ``"object"`` forces
-            the per-message engine, ``"mask"`` requests the kernel
-            (profiling/tracing still force the object engine; see
+            the per-message engine (tracing also forces it; see
             :class:`LowerBoundDriver`).  Outcomes are engine-independent.
     """
     driver = LowerBoundDriver(
@@ -1581,7 +1514,6 @@ def attack_weak_consensus(
         early_stop=early_stop,
         reuse=reuse,
         cache=cache,
-        profile=profile,
         certify=certify,
         tracer=tracer,
         worldlog=worldlog,

@@ -16,12 +16,12 @@ event carrying the round's correct-sender message count, wall time and
 the running messages-vs-``t²/32`` ratio — the paper's quantity of
 interest as a first-class time series.
 
-The tracer subsumes the older wall-clock instruments: the driver's
+The tracer is the repository's one wall-clock instrument: the driver's
 pipeline phases (fault-free probe, isolation scan, swap, merge, witness
-verify, certify) emit spans through it, and per-round timing previously
-only available via :class:`~repro.parallel.profiling.ProfilingObserver`
-rides on the round events.  Trace data is wall-clock telemetry and is
-*never* part of outcome equality.
+verify, certify) emit spans through it and per-round timing rides on
+the round events (``repro attack --profile`` renders both from an
+in-memory ledger).  Trace data is wall-clock telemetry and is *never*
+part of outcome equality.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class RoundTraceObserver(RoundObserver):
     """Per-round engine telemetry: one ``engine.round`` event per round.
 
     One instance follows a whole driver pipeline (attached to every
-    engine run it launches, like the profiling observer); the ``run``
+    engine run it launches); the ``run``
     attribute on each event distinguishes the pipeline's successive
     simulations.  Per event: the round's correct-sender message count
     (the §2 complexity contribution), the round's wall time, the

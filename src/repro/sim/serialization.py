@@ -317,10 +317,9 @@ def load_witness(text: str):
     from repro.lowerbound.witnesses import ViolationKind, ViolationWitness
 
     data = json.loads(text)
-    if data.get("format") != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported witness format {data.get('format')!r}"
-        )
+    version = data.get("format") if isinstance(data, dict) else None
+    if version != FORMAT_VERSION:
+        raise ReproError(f"unsupported witness format {version!r}")
     return ViolationWitness(
         kind=ViolationKind(data["kind"]),
         execution=execution_from_dict(data["execution"]),

@@ -167,23 +167,24 @@ def read_records(path: str) -> list[Record]:
     different entry points.  A final line with no trailing newline that
     fails to parse is dropped (the write-through appender guarantees
     that is the only shape a crash can leave); a malformed line
-    anywhere else raises.  No header validation happens here — that is
+    anywhere else raises — undecodable bytes included, since the writer
+    only ever emits ASCII.  No header validation happens here — that is
     :func:`read_worldlog`'s contract.
 
     Raises:
         ArtifactError: on a malformed non-final line (CLI exit 2).
         OSError: if the file cannot be read.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    lines = text.split("\n")
-    complete_through = len(lines) if text.endswith("\n") else len(lines) - 1
+    with open(path, "rb") as handle:
+        data = handle.read()
+    lines = data.split(b"\n")
+    complete_through = len(lines) if data.endswith(b"\n") else len(lines) - 1
     records: list[Record] = []
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for number, raw in enumerate(lines, start=1):
         try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
             records.append(Record.from_json(line))
         except (ValueError, KeyError, TypeError) as exc:
             if number > complete_through:
@@ -208,10 +209,10 @@ def read_worldlog(path: str) -> list[Record]:
         ArtifactError: if the file is not a world log (CLI exit 2).
         OSError: if the file cannot be read.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         first = handle.readline()
     try:
-        Record.from_json(first)
+        Record.from_json(first.decode("utf-8"))
     except (ValueError, KeyError, TypeError) as exc:
         error = artifact_error(path, "world-log record", exc, line=1)
         raise ArtifactError(f"{error}; the file is not a world log") from exc
@@ -286,12 +287,13 @@ class LogTailer:
             newline = self._buffer.find(b"\n")
             if newline < 0:
                 break
-            line = self._buffer[:newline].decode("utf-8").strip()
+            raw = self._buffer[:newline]
             self._buffer = self._buffer[newline + 1 :]
             self._line_number += 1
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = Record.from_json(line)
             except (ValueError, KeyError, TypeError) as exc:
                 raise artifact_error(

@@ -56,8 +56,7 @@ class TestCrossBackendEquivalence:
         ]
         for left, right in zip(serial.values(), parallel.values()):
             _outcomes_agree(left, right)
-        # AttackOutcome equality covers every compared field at once
-        # (wall-clock profiles are excluded from comparison by design).
+        # AttackOutcome equality covers every compared field at once.
         assert serial.values() == parallel.values()
         # Merged cache accounting is backend-independent too.
         assert serial.cache == parallel.cache
@@ -185,23 +184,3 @@ class TestMeasureJobs:
         assert measure_cell.result.cache is None
         # Only attack cells contribute cache counters.
         assert report.cache == attack_cell.result.cache
-
-
-class TestProfiledJobs:
-    def test_profile_rides_through_the_pool(self):
-        report = SweepScheduler(jobs=2).run(
-            [AttackJob(builder="silent", n=12, t=8, profile=True)]
-        )
-        report.raise_errors()
-        profile = report.values()[0].profile
-        assert profile is not None
-        assert profile.wall_seconds > 0
-        assert profile.rounds_timed > 0
-        assert profile.phase("fault-free") > 0
-        assert profile.phase("isolation-scan") > 0
-        assert profile.phase("merge") > 0
-        # Profiles are wall-clock data: they never affect equality.
-        bare = SweepScheduler(jobs=1).run(
-            [AttackJob(builder="silent", n=12, t=8)]
-        )
-        assert bare.values() == report.values()

@@ -66,6 +66,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "CC=N" in out
 
+    def test_sweep_takes_the_attack_name_of_the_correct_protocol(
+        self, capsys
+    ):
+        """``sweep`` and ``attack`` resolve names through one registry."""
+        assert main(["sweep", "correct", "--max-t", "4"]) == 0
+        correct = capsys.readouterr().out
+        assert main(["sweep", "weak-consensus", "--max-t", "4"]) == 0
+        assert correct == capsys.readouterr().out
+        assert "weak-consensus-broadcast" in correct
+
     def test_attack_naive_flooding_expects_no_violation(self, capsys):
         assert (
             main(["attack", "naive-flooding", "--n", "12", "--t", "8"])
@@ -197,24 +207,37 @@ class TestLedgerCommands:
         assert "measure.worst_messages" in names
         assert "cell.wall_seconds" in names
 
-    def test_profile_table_goes_to_stderr(self, capsys):
-        assert (
-            main(
-                [
-                    "attack",
-                    "silent",
-                    "--n",
-                    "12",
-                    "--t",
-                    "8",
-                    "--profile",
-                ]
-            )
-            == 0
-        )
+    def test_profile_table_goes_to_stderr(self, tmp_path, capsys):
+        argv = ["attack", "ring-token", "--n", "12", "--t", "8"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--profile"]) == 0
         captured = capsys.readouterr()
-        assert "wall time:" in captured.err
-        assert "wall time:" not in captured.out
+        # Profiling is a diagnostic: the verdict bytes are unchanged.
+        assert captured.out == plain
+        phases = _phase_names(captured.err)
+        assert {"fault-free", "isolation-scan"} <= phases
+        # The profile is the trace of the run: a recorded twin renders
+        # the same phase tree through ``repro trace``.
+        path = str(tmp_path / "profiled.worldlog")
+        assert main([*argv, "--profile", "--ledger", path]) == 0
+        profiled = _phase_names(capsys.readouterr().err)
+        assert main(["trace", path]) == 0
+        assert profiled == _phase_names(capsys.readouterr().out) == phases
+
+
+def _phase_names(text):
+    """The span names of the first phase tree rendered in ``text``."""
+    lines = text.split("\n")
+    start = next(
+        index for index, line in enumerate(lines) if "phase tree" in line
+    )
+    names = set()
+    for line in lines[start + 1 :]:
+        if not line.strip():
+            break
+        names.add(line.split()[0])
+    return names
 
 
 class TestWitnessFiles:

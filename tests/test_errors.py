@@ -1,5 +1,7 @@
 """Tests for the exception hierarchy."""
 
+import os
+
 import pytest
 
 from repro.errors import (
@@ -142,3 +144,67 @@ class TestBadSystemSize:
         assert captured.out == ""
         (line,) = captured.err.strip().split("\n")
         assert line.startswith("error: --n/--t need 2 <= t < n")
+
+
+class TestUndecodableBytes:
+    """A stray non-UTF-8 byte: one ``error:`` line, exit 2."""
+
+    @staticmethod
+    def _corrupt_log(tmp_path, line):
+        """The golden world log with ``\\xff`` inserted into ``line``."""
+        golden = os.path.join(
+            os.path.dirname(__file__), "worldlog", "golden", "run.worldlog"
+        )
+        with open(golden, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][5:]
+        path = tmp_path / "stray.worldlog"
+        path.write_bytes(b"\n".join(lines))
+        return str(path)
+
+    @pytest.mark.parametrize("line", [1, 3])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["trace"],
+            ["log", "stats"],
+            ["log", "replay", "--at", "1"],
+            ["sweep", "silent", "--max-t", "4", "--resume"],
+        ],
+        ids=["trace", "log-stats", "log-replay", "sweep-resume"],
+    )
+    def test_world_log_readers(self, command, line, tmp_path, capsys):
+        from repro.cli import main
+
+        path = self._corrupt_log(tmp_path, line)
+        if command[0] == "log" and len(command) > 2:
+            argv = [*command[:2], path, *command[2:]]
+        else:
+            argv = [*command, path]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (message,) = captured.err.strip().split("\n")
+        assert message.startswith(f"error: {path}:{line}: ")
+        assert "UnicodeDecodeError" in message
+
+    def test_verify_witness(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "stray.json"
+        path.write_bytes(b'{"format": "\xff"}')
+        argv = ["verify-witness", str(path), "silent", "--n", "12", "--t", "8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (message,) = captured.err.strip().split("\n")
+        assert message.startswith(f"error: {path}: not a violation witness")
+
+    def test_verify_cert_replay(self, tmp_path, capsys):
+        """The certificate verifier rejects; ``--replay`` must not crash."""
+        from repro.cli import main
+
+        path = tmp_path / "stray.cert.json"
+        path.write_bytes(b'{"claim": "\xff"}')
+        assert main(["verify-cert", str(path), "--replay", "silent"]) == 1
+        assert "REJECTED" in capsys.readouterr().out

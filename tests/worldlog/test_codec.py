@@ -3,8 +3,8 @@
 A resumed sweep rebuilds each recorded cell's ``JobResult`` from JSON
 alone; the rebuilt object must be *equal* to what the original worker
 shipped (outcome equality deliberately excludes wall-clock and the live
-profile/certificate objects — the canonical certificate bytes travel
-separately and must round-trip byte-identically).
+certificate object — the canonical certificate bytes travel separately
+and must round-trip byte-identically).
 """
 
 from repro.parallel.jobs import AttackJob, MeasureJob, execute_job
@@ -26,7 +26,6 @@ class TestJobCodec:
             check=False,
             early_stop=False,
             reuse=False,
-            profile=True,
             certify=True,
             ledger=True,
         )
@@ -35,6 +34,24 @@ class TestJobCodec:
     def test_measure_job_roundtrip(self):
         job = MeasureJob(builder="weak-consensus", n=8, t=4, ledger=True)
         assert decode_job(encode_job(job)) == job
+
+    def test_plan_entry_with_the_removed_profile_flag_decodes(self):
+        """Plans recorded before the tracer became the only timer
+        carry ``"profile": false`` on every attack entry."""
+        entry = {
+            "kind": "attack",
+            "builder": "silent",
+            "n": 8,
+            "t": 4,
+            "verify": True,
+            "check": True,
+            "early_stop": True,
+            "reuse": True,
+            "profile": False,
+            "certify": False,
+            "ledger": False,
+        }
+        assert decode_job(entry) == AttackJob("silent", 8, 4)
 
     def test_defaults_roundtrip(self):
         for job in (

@@ -62,8 +62,9 @@ class TestEmptyDiffs:
 
         Recording forces the object engine, so two recorded logs would
         compare that engine with itself.  The recorded run is compared
-        with an untraced ``kernel="mask"`` run instead, and the
-        ``masks_built`` counter shows that only the latter used masks.
+        with an untraced default (``kernel="auto"``) run instead, and
+        the ``masks_built`` counter shows that only the latter used
+        masks.
         """
         from repro.lowerbound.driver import attack_weak_consensus
         from repro.obs.ledger import RunLedger
@@ -78,11 +79,10 @@ class TestEmptyDiffs:
                 spec,
                 tracer=LedgerTracer(RunLedger(sink=log.record_event)),
                 worldlog=log,
-                kernel="mask",
             )
         assert object_counts_delta(before)["masks_built"] == 0
         before = object_counts()
-        untraced = attack_weak_consensus(spec, kernel="mask")
+        untraced = attack_weak_consensus(spec)
         assert object_counts_delta(before)["masks_built"] > 0
         assert recorded == untraced
         assert recorded.found_violation
