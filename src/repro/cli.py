@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.errors import ArtifactError, ReproError
 from repro.experiments import ALL_EXPERIMENTS, CHEATERS
@@ -133,9 +133,23 @@ def _ledger_option(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+class _ExactParser(argparse.ArgumentParser):
+    """A parser that accepts long options only when spelled out in full.
+
+    ``add_subparsers`` builds every subcommand parser with its parent's
+    class, so the whole command tree inherits ``allow_abbrev=False``:
+    ``sweep --t`` is an unrecognized option, not a guess among
+    ``--timings``/``--telemetry``.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = _ExactParser(
         prog="repro",
         description=(
             "Executable reproduction of 'All Byzantine Agreement "

@@ -177,12 +177,11 @@ def run_e2(n: int = 10, t: int = 3, isolate_at: int = 2) -> ExperimentResult:
 CHEATERS: dict[str, Callable[[int, int], ProtocolSpec]] = {
     "silent": silent_cheater_spec,
     "leader-echo": leader_echo_spec,
-    "committee": lambda n, t: committee_cheater_spec(n, t),
+    "committee": committee_cheater_spec,
     "ring-token": ring_token_spec,
-    "seeded-committee": lambda n, t: seeded_committee_cheater_spec(
-        n, t, seed=0
-    ),
+    "seeded-committee": seeded_committee_cheater_spec,
 }
+"""Every cheater's spec builder, called as ``builder(n, t)``, by CLI name."""
 
 
 def run_e3(

@@ -15,6 +15,7 @@ of Lemma 15 on the concrete instance.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.errors import ModelViolation
@@ -22,7 +23,96 @@ from repro.omission.indistinguishability import indistinguishable_to_all
 from repro.sim.execution import Execution, check_execution
 from repro.sim.message import Message
 from repro.sim.state import Behavior, Fragment
-from repro.types import ProcessId
+from repro.types import ProcessId, Round
+
+
+_Edit = tuple[
+    int, frozenset[Message], frozenset[Message], frozenset[Message]
+]
+"""A planned fragment change: its index and new sent, send-omitted and
+receive-omitted sets."""
+
+
+def _plan_swap(
+    execution: Execution, pid: ProcessId
+) -> tuple[frozenset[ProcessId], dict[ProcessId, list[_Edit]]]:
+    """Algorithm 4 for ``pid`` worked out before any record is built.
+
+    Returns the post-swap faulty set ``F'`` (lines 10-11) and, per
+    process, the fragments whose message sets change.  ``M`` (everything
+    ``pid`` receive-omitted) is bucketed by ``(sender, round)`` in one
+    pass, so each fragment looks up the messages it must send-omit
+    instead of rescanning ``M``.  A fragment is edited only if it gains
+    send-omissions (line 9) or loses receive-omissions
+    (``M^{RO(j)} \\ M``).
+    """
+    dropped = execution.behavior(pid).all_receive_omitted()
+    moved: dict[tuple[ProcessId, Round], set[Message]] = defaultdict(set)
+    for message in dropped:
+        moved[message.sender, message.round].add(message)
+    faulty: set[ProcessId] = set()
+    edits: dict[ProcessId, list[_Edit]] = {}
+    for pz, behavior in enumerate(execution.behaviors):
+        changed: list[_Edit] = []
+        commits_fault = False
+        for index, fragment in enumerate(behavior.fragments):
+            receive_omitted = fragment.receive_omitted
+            if receive_omitted:
+                receive_omitted = receive_omitted - dropped
+            sent_z = moved.get((pz, fragment.round))
+            if sent_z:
+                changed.append((
+                    index,
+                    fragment.sent - sent_z,
+                    fragment.send_omitted | sent_z,
+                    receive_omitted,
+                ))
+                commits_fault = True
+                continue
+            if len(receive_omitted) != len(fragment.receive_omitted):
+                changed.append((
+                    index,
+                    fragment.sent,
+                    fragment.send_omitted,
+                    receive_omitted,
+                ))
+            if fragment.send_omitted or receive_omitted:
+                commits_fault = True
+        if commits_fault:
+            faulty.add(pz)
+        if changed:
+            edits[pz] = changed
+    return frozenset(faulty), edits
+
+
+def _build_swap(
+    execution: Execution,
+    faulty: frozenset[ProcessId],
+    edits: dict[ProcessId, list[_Edit]],
+) -> Execution:
+    """The planned execution; records without edits are shared."""
+    behaviors = list(execution.behaviors)
+    for pz, changed in edits.items():
+        behavior = behaviors[pz]
+        fragments = list(behavior.fragments)
+        for index, sent, send_omitted, receive_omitted in changed:
+            fragment = fragments[index]
+            fragments[index] = Fragment(
+                fragment.state,
+                sent,
+                send_omitted,
+                fragment.received,
+                receive_omitted,
+            )
+        behaviors[pz] = Behavior(
+            tuple(fragments), final_state=behavior.final_state
+        )
+    return Execution(
+        n=execution.n,
+        t=execution.t,
+        faulty=faulty,
+        behaviors=tuple(behaviors),
+    )
 
 
 def swap_omission(execution: Execution, pid: ProcessId) -> Execution:
@@ -37,45 +127,12 @@ def swap_omission(execution: Execution, pid: ProcessId) -> Execution:
     * the new faulty set contains exactly the processes that still commit
       an omission fault afterwards (lines 10-11).
 
-    The result's faulty set may exceed ``t`` if the preconditions of
-    Lemma 15 do not hold; use :func:`swap_omission_checked` to enforce
-    them.
+    Fragments and behaviors the swap does not touch are reused as they
+    are (they are immutable records).  The result's faulty set may exceed
+    ``t`` if the preconditions of Lemma 15 do not hold; use
+    :func:`swap_omission_checked` to enforce them.
     """
-    dropped: frozenset[Message] = execution.behavior(
-        pid
-    ).all_receive_omitted()
-    new_faulty: set[ProcessId] = set()
-    new_behaviors: list[Behavior] = []
-    for pz in range(execution.n):
-        behavior = execution.behavior(pz)
-        fragments: list[Fragment] = []
-        commits_fault = False
-        for fragment in behavior:
-            sent_z = frozenset(
-                message
-                for message in dropped
-                if message.round == fragment.round
-                and message.sender == pz
-            )
-            new_fragment = fragment.replacing(
-                sent=fragment.sent - sent_z,
-                send_omitted=fragment.send_omitted | sent_z,
-                receive_omitted=fragment.receive_omitted - dropped,
-            )
-            if new_fragment.commits_fault:
-                commits_fault = True
-            fragments.append(new_fragment)
-        if commits_fault:
-            new_faulty.add(pz)
-        new_behaviors.append(
-            Behavior(tuple(fragments), final_state=behavior.final_state)
-        )
-    return Execution(
-        n=execution.n,
-        t=execution.t,
-        faulty=frozenset(new_faulty),
-        behaviors=tuple(new_behaviors),
-    )
+    return _build_swap(execution, *_plan_swap(execution, pid))
 
 
 @dataclass(frozen=True)
@@ -122,12 +179,13 @@ def swap_omission_checked(
         raise ModelViolation(
             f"Lemma 15 precondition: p{pid} must not send-omit"
         )
-    swapped = swap_omission(execution, pid)
-    if len(swapped.faulty) > execution.t:
+    faulty, edits = _plan_swap(execution, pid)
+    if len(faulty) > execution.t:  # before building anything
         raise ModelViolation(
             f"Lemma 15 precondition: swapped faulty set "
-            f"{sorted(swapped.faulty)} exceeds t={execution.t}"
+            f"{sorted(faulty)} exceeds t={execution.t}"
         )
+    swapped = _build_swap(execution, faulty, edits)
     check_execution(swapped)  # conclusion 1
     if not indistinguishable_to_all(execution, swapped):  # conclusion 2
         raise ModelViolation(

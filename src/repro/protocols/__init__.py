@@ -82,7 +82,6 @@ from repro.protocols.strong_consensus import (
     unauthenticated_strong_consensus_spec,
 )
 from repro.protocols.subquadratic import (
-    ALL_CHEATERS,
     CommitteeCheater,
     LeaderEchoCheater,
     RingTokenCheater,
@@ -106,7 +105,6 @@ from repro.protocols.weak_consensus import (
 )
 
 __all__ = [
-    "ALL_CHEATERS",
     "ApproximateAgreementProcess",
     "approximate_agreement_spec",
     "rounds_for_precision",

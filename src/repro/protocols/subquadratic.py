@@ -416,11 +416,3 @@ class SampledCommitteeCheater(CommitteeCheater):
             raise ValueError("committee must be non-empty")
         self.committee = tuple(sorted(committee))
 
-
-ALL_CHEATERS = (
-    silent_cheater_spec,
-    leader_echo_spec,
-    committee_cheater_spec,
-    ring_token_spec,
-)
-"""Spec builders for every cheater, for sweep harnesses (experiment E3)."""

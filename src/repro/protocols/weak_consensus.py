@@ -133,19 +133,22 @@ class NaiveFloodingWeakConsensus(Process):
     ) -> None:
         if round_ > self.last_round:
             return
-        for _, payload in sorted(received.items()):
-            if not isinstance(payload, tuple):
-                continue
-            for entry in payload:
-                if not (isinstance(entry, tuple) and len(entry) == 2):
+        if len(self.known) < self.n:
+            # Keys of ``known`` are ``pid`` and origins in ``[0, n)``:
+            # once it holds ``n`` entries no payload can add one.
+            for _, payload in sorted(received.items()):
+                if not isinstance(payload, tuple):
                     continue
-                origin, value = entry
-                if (
-                    isinstance(origin, int)
-                    and 0 <= origin < self.n
-                    and origin not in self.known
-                ):
-                    self.known[origin] = value
+                for entry in payload:
+                    if not (isinstance(entry, tuple) and len(entry) == 2):
+                        continue
+                    origin, value = entry
+                    if (
+                        isinstance(origin, int)
+                        and 0 <= origin < self.n
+                        and origin not in self.known
+                    ):
+                        self.known[origin] = value
         if round_ == self.last_round:
             all_zero = len(self.known) == self.n and all(
                 value == 0 for value in self.known.values()

@@ -16,8 +16,9 @@ agree exactly — otherwise the baseline would be a fiction.
 
 import pytest
 
+from repro.experiments import CHEATERS
 from repro.lowerbound.driver import attack_weak_consensus
-from repro.protocols.subquadratic import ALL_CHEATERS, ring_token_spec
+from repro.protocols.subquadratic import ring_token_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
 
 GRID = [(12, 8), (20, 16)]
@@ -47,7 +48,7 @@ class TestReuseAcceptance:
         fast_total = 0
         slow_total = 0
         for n, t in GRID:
-            for build in ALL_CHEATERS:
+            for build in CHEATERS.values():
                 fast, slow = _attack_pair(build(n, t))
                 _outcomes_agree(fast, slow)
                 # The baseline accounted by the fast run must equal

@@ -1,12 +1,12 @@
 """Tests for repro.omission.swap (Algorithm 4 / Lemma 15)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelViolation
 from repro.omission.indistinguishability import indistinguishable_to_all
-from repro.omission.isolation import isolate_group
+from repro.omission.isolation import IsolationAdversary, isolate_group
 from repro.omission.swap import (
     blamed_senders,
     swap_omission,
@@ -17,8 +17,119 @@ from repro.protocols.subquadratic import (
     leader_echo_spec,
 )
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
-from repro.sim.adversary import CrashAdversary
-from repro.sim.execution import check_execution
+from repro.sim.adversary import (
+    CrashAdversary,
+    OmissionSchedule,
+    ScheduledOmissionAdversary,
+)
+from repro.sim.execution import Execution, check_execution
+from repro.sim.state import BUILT, Behavior
+
+
+def reference_swap(execution, pid):
+    """Algorithm 4 as a per-fragment loop that rescans ``M`` every time.
+
+    The literal reading of lines 9-11, kept as the oracle the one-pass
+    :func:`swap_omission` is compared against.
+    """
+    dropped = execution.behavior(pid).all_receive_omitted()
+    new_faulty = set()
+    new_behaviors = []
+    for pz in range(execution.n):
+        behavior = execution.behavior(pz)
+        fragments = []
+        commits_fault = False
+        for fragment in behavior:
+            sent_z = frozenset(
+                message
+                for message in dropped
+                if message.round == fragment.round
+                and message.sender == pz
+            )
+            new_fragment = fragment.replacing(
+                sent=fragment.sent - sent_z,
+                send_omitted=fragment.send_omitted | sent_z,
+                receive_omitted=fragment.receive_omitted - dropped,
+            )
+            if new_fragment.commits_fault:
+                commits_fault = True
+            fragments.append(new_fragment)
+        if commits_fault:
+            new_faulty.add(pz)
+        new_behaviors.append(
+            Behavior(tuple(fragments), final_state=behavior.final_state)
+        )
+    return Execution(
+        n=execution.n,
+        t=execution.t,
+        faulty=frozenset(new_faulty),
+        behaviors=tuple(new_behaviors),
+    )
+
+
+def budget_message(reference):
+    return (
+        f"Lemma 15 precondition: swapped faulty set "
+        f"{sorted(reference.faulty)} exceeds t={reference.t}"
+    )
+
+
+def assert_same_swap(swapped, reference):
+    assert swapped.faulty == reference.faulty
+    for behavior, expected in zip(swapped.behaviors, reference.behaviors):
+        assert behavior.final_state == expected.final_state
+        for fragment, want in zip(behavior, expected, strict=True):
+            assert fragment.state == want.state
+            assert fragment.sent == want.sent
+            assert fragment.send_omitted == want.send_omitted
+            assert fragment.received == want.received
+            assert fragment.receive_omitted == want.receive_omitted
+    assert swapped == reference
+
+
+SWAP_SPECS = {
+    "leader-echo": leader_echo_spec,
+    "committee": committee_cheater_spec,
+    "broadcast": broadcast_weak_consensus_spec,
+}
+
+
+@st.composite
+def isolated_runs(draw):
+    """A small run with one or two isolated groups, and a process to free.
+
+    Some runs also crash a few processes outside the groups, so that
+    fragments with send-omissions of their own meet the swap too.
+    """
+    builder = SWAP_SPECS[draw(st.sampled_from(sorted(SWAP_SPECS)))]
+    n = draw(st.integers(4, 8))
+    t = draw(st.integers(2, n - 1))
+    faulty = draw(
+        st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=t, unique=True
+        )
+    )
+    members = faulty[: draw(st.integers(1, len(faulty)))]
+    crashed = {pid: draw(st.integers(1, 3)) for pid in faulty[len(members):]}
+    split = draw(st.integers(1, len(members)))
+    groups = {frozenset(members[:split]): draw(st.integers(1, 3))}
+    if split < len(members):
+        groups[frozenset(members[split:])] = draw(st.integers(1, 3))
+    isolation = IsolationAdversary(groups)
+    crash = CrashAdversary(crashed)
+    adversary = ScheduledOmissionAdversary(
+        faulty,
+        OmissionSchedule(
+            send_drops=crash.send_omits,
+            receive_drops=lambda m: (
+                isolation.receive_omits(m) or crash.receive_omits(m)
+            ),
+        ),
+    )
+    proposals = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    execution = builder(n, t).run(proposals, adversary)
+    pid = draw(st.sampled_from(members) | st.integers(0, n - 1))
+    return execution, pid
 
 
 def isolated_leader_echo(n=8, t=4, k=1, group=None):
@@ -83,11 +194,19 @@ class TestLemma15Conclusions:
             swap_omission_checked(execution, 5)
 
     def test_precondition_budget_rejected(self):
-        """A chatty protocol blames too many senders: |F'| > t."""
+        """A chatty protocol blames too many senders: |F'| > t.
+
+        The budget is checked before the swapped execution is built, so
+        the failing call constructs no behavior at all.
+        """
         spec = broadcast_weak_consensus_spec(8, 2)
         execution = spec.run_uniform(0, isolate_group({7}, 1))
-        with pytest.raises(ModelViolation, match="exceeds t"):
+        expected = budget_message(reference_swap(execution, 7))
+        before = BUILT.behaviors
+        with pytest.raises(ModelViolation, match="exceeds t") as excinfo:
             swap_omission_checked(execution, 7)
+        assert str(excinfo.value) == expected
+        assert BUILT.behaviors == before
 
     def test_witness_correct_preserved(self):
         _, group, execution = isolated_leader_echo()
@@ -122,3 +241,35 @@ class TestSwapProperty:
         result = swap_omission_checked(execution, pid)
         assert pid not in result.execution.faulty
         assert indistinguishable_to_all(execution, result.execution)
+
+
+class TestSwapMatchesReference:
+    """The one-pass swap equals the per-fragment loop, record for record."""
+
+    def test_over_budget_instance(self):
+        execution = broadcast_weak_consensus_spec(8, 2).run_uniform(
+            0, isolate_group({7}, 1)
+        )
+        reference = reference_swap(execution, 7)
+        assert len(reference.faulty) > execution.t
+        assert_same_swap(swap_omission(execution, 7), reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=isolated_runs())
+    def test_random_isolations(self, run):
+        execution, pid = run
+        reference = reference_swap(execution, pid)
+        assert_same_swap(swap_omission(execution, pid), reference)
+        if execution.behavior(pid).all_send_omitted():
+            event("focal process send-omits")
+            with pytest.raises(ModelViolation, match="must not send-omit"):
+                swap_omission_checked(execution, pid)
+        elif len(reference.faulty) > execution.t:
+            event("over budget")
+            with pytest.raises(ModelViolation) as excinfo:
+                swap_omission_checked(execution, pid)
+            assert str(excinfo.value) == budget_message(reference)
+        else:
+            event("within budget")
+            result = swap_omission_checked(execution, pid)
+            assert_same_swap(result.execution, reference)

@@ -3,10 +3,10 @@ they look plausible in easy cases, and they are genuinely incorrect."""
 
 import pytest
 
+from repro.experiments import CHEATERS
 from repro.lowerbound.bound import weak_consensus_floor
 from repro.omission.isolation import isolate_group
 from repro.protocols.subquadratic import (
-    ALL_CHEATERS,
     committee_cheater_spec,
     leader_echo_spec,
     ring_token_spec,
@@ -21,13 +21,13 @@ def decisions(execution):
 class TestPlausibleBehaviour:
     """Fault-free, each cheater looks like a weak consensus protocol."""
 
-    @pytest.mark.parametrize("builder", ALL_CHEATERS)
+    @pytest.mark.parametrize("builder", CHEATERS.values())
     def test_weak_validity_fault_free(self, builder):
         spec = builder(10, 8)
         assert decisions(spec.run_uniform(0)) == {0}
         assert decisions(spec.run_uniform(1)) == {1}
 
-    @pytest.mark.parametrize("builder", ALL_CHEATERS)
+    @pytest.mark.parametrize("builder", CHEATERS.values())
     def test_fault_free_agreement_on_mixed(self, builder):
         if builder is silent_cheater_spec:
             pytest.skip("silent cheater is honest only on unanimity")

@@ -4,6 +4,7 @@ why the omission model makes it genuinely hard (§3's framing)."""
 from repro.omission.isolation import isolate_group
 from repro.protocols.byzantine_strategies import mute, two_faced
 from repro.protocols.weak_consensus import (
+    NaiveFloodingWeakConsensus,
     broadcast_weak_consensus_spec,
     naive_flooding_spec,
 )
@@ -91,6 +92,27 @@ class TestNaiveFloodingCounterexample:
             execution.decision(pid) for pid in execution.correct
         }
         assert len(correct) == 1
+
+    def test_full_knowledge_is_final(self):
+        """Once every origin is known, no delivery changes ``known``.
+
+        Not even malformed or conflicting payloads; the decision still
+        comes at the last round.
+        """
+        machine = NaiveFloodingWeakConsensus(0, 4, 2, 0)
+        machine.deliver(1, {1: ((1, 0),), 2: ((2, 1),), 3: ((3, 0),)})
+        known = dict(machine.known)
+        assert sorted(known) == [0, 1, 2, 3]
+        machine.deliver(2, {
+            1: "junk",
+            2: ((2, 0), (0, 1), (True, 0), (9, 1), ("x", 1), (3,)),
+            3: ((1, 1),),
+        })
+        assert machine.known == known
+        assert machine.decision is None
+        machine.deliver(machine.last_round, {1: ((2, 0),)})
+        assert machine.known == known
+        assert machine.decision == 1
 
     def test_fault_free_weak_validity(self):
         spec = naive_flooding_spec(5, 2)

@@ -146,6 +146,32 @@ class TestBadSystemSize:
         assert line.startswith("error: --n/--t need 2 <= t < n")
 
 
+
+class TestAbbreviatedOptions:
+    """Long options must be spelled out: no prefix guessing, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["sweep", "correct", "--t", "8"], "--t"),
+            (["attack", "silent", "--kern", "object"], "--kern"),
+            (["trace", "unread.worldlog", "--form", "chrome"], "--form"),
+            (["log", "replay", "unread.worldlog", "--a", "1"], "--a"),
+        ],
+        ids=["sweep-t", "attack-kern", "trace-form", "log-replay-a"],
+    )
+    def test_rejected_as_unrecognized(self, argv, option, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {option}" in captured.err
+        assert "ambiguous" not in captured.err
+        assert "Traceback" not in captured.err
+
 class TestUndecodableBytes:
     """A stray non-UTF-8 byte: one ``error:`` line, exit 2."""
 
