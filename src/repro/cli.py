@@ -52,7 +52,7 @@ from typing import Any, Sequence
 
 from repro.errors import ArtifactError, ReproError
 from repro.experiments import ALL_EXPERIMENTS, CHEATERS
-from repro.lowerbound.driver import attack_weak_consensus
+from repro.lowerbound.driver import SurvivedBelowFloor, attack_weak_consensus
 from repro.parallel.jobs import (
     registered_builders,
     registered_problems,
@@ -1033,15 +1033,20 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         telemetry = _make_telemetry(args, worldlog, "attack")
         spec = _resolve_protocol(args.protocol, args.n, args.t)
-        outcome = attack_weak_consensus(
-            spec,
-            check=not args.no_check,
-            early_stop=args.early_stop,
-            tracer=tracer,
-            worldlog=worldlog,
-            telemetry=telemetry,
-            kernel=args.kernel,
-        )
+        failure: SurvivedBelowFloor | None = None
+        try:
+            outcome = attack_weak_consensus(
+                spec,
+                check=not args.no_check,
+                early_stop=args.early_stop,
+                tracer=tracer,
+                worldlog=worldlog,
+                telemetry=telemetry,
+                kernel=args.kernel,
+            )
+        except SurvivedBelowFloor as error:
+            # Report the run, then the broken obligation as the error.
+            failure, outcome = error, error.outcome
         if telemetry is not None:
             telemetry.close()
         print(outcome.render())
@@ -1058,14 +1063,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                 handle.write(dump_witness(outcome.witness))
             _info(f"witness written to {args.save}")
         _close_recording(ledger, worldlog)
-        if not outcome.found_violation and outcome.bound.below_floor:
-            # The theorem's obligation: a survivor must have paid at
-            # least t²/32 messages.  Anything else is a driver bug.
-            _info(
-                f"error: no violation found, yet only "
-                f"{outcome.bound.observed} messages observed < t²/32 = "
-                f"{outcome.bound.floor:.2f}"
-            )
+        if failure is not None:
+            _info(f"error: {failure}")
             return 1
         expected_violation = args.protocol in CHEATERS
         return 0 if outcome.found_violation == expected_violation else 1

@@ -51,10 +51,22 @@ instead of message objects: the fault-free run records a mask trace, the
 Lemma-4 scan fans candidates out of its shared prefix via
 :class:`~repro.sim.kernel.PrefixForker` (one machine deep-copy per
 divergence round instead of one per round boundary), and §2 complexity
-is popcount accumulation.  Traces materialize into bit-identical
-:class:`~repro.sim.execution.Execution` records on demand, so every
-downstream consumer — merges, swaps, witnesses, certificates — is
-engine-agnostic.
+is popcount accumulation.
+
+**Deciding on masks.**  On the kernel path the driver keeps
+:class:`~repro.sim.kernel.KernelTrace` records and asks them its
+yes/no questions directly: decisions, message counts and quiescence
+come from the rows; a Lemma-15 swap checks its t budget on the omit
+masks (:func:`~repro.omission.swap.swap_omission_checked`); and a
+Lemma-16 merge of two traces is one kernel run under both isolations,
+checked on the rows (:func:`~repro.omission.merge.merge`).  A trace
+materializes into its bit-identical
+:class:`~repro.sim.execution.Execution` only where objects are the
+answer — the fault-free runs (fully ``check_execution``-ed: they anchor
+the bound and Weak Validity witnesses), a swap that fits the budget,
+and whatever becomes a witness or a certificate entry — and every
+materialized swap or merge runs the full object checks.  The object
+engine path runs the same code on executions.
 """
 
 from __future__ import annotations
@@ -94,7 +106,9 @@ from repro.sim.kernel import (
     KernelTrace,
     PrefixForker,
     fork_kernel,
+    group_mask,
     no_faults_compiled,
+    rounds_spanned,
     run_kernel,
 )
 from repro.sim.metrics import StreamingComplexity
@@ -103,14 +117,39 @@ from repro.types import Bit, Payload, ProcessId, Round
 
 _SpecKey = tuple[str, int, int, int]
 
+Run = Execution | KernelTrace
+"""A simulated execution as the driver holds it: an object record
+(object engine) or a mask trace (kernel path)."""
+
+
+class SurvivedBelowFloor(ReproError):
+    """No violation was found, yet fewer than ``t²/32`` messages were
+    observed.
+
+    Theorem 2 obliges every candidate either to be broken or to pay the
+    floor, so this outcome is a bug in the driver (or in the bound's
+    bookkeeping), never a verdict.  ``outcome`` is the attack's report.
+    """
+
+    def __init__(self, outcome: "AttackOutcome") -> None:
+        super().__init__(
+            f"no violation found, yet only {outcome.bound.observed} "
+            f"messages observed < t²/32 = {outcome.bound.floor:.2f}"
+        )
+        self.outcome = outcome
+
+
+def _materialized(run: Run) -> Execution:
+    return run.to_execution() if isinstance(run, KernelTrace) else run
+
 
 @dataclass
 class _CacheEntry:
-    """One cached simulation: the trace, its §2 message count, and
-    whether it ran to the configured horizon (early-stopped traces are
+    """One cached simulation: the run, its §2 message count, and
+    whether it ran to the configured horizon (early-stopped runs are
     valid for decision queries but not as witnesses or merge inputs)."""
 
-    execution: Execution
+    run: Run
     messages: int
     complete: bool
 
@@ -394,9 +433,9 @@ class LowerBoundDriver:
     _cert_origin: dict = field(default_factory=dict, repr=False)
     _cert_merge_ctx: dict | None = field(default=None, repr=False)
     _cert_swap_ctx: dict | None = field(default=None, repr=False)
-    _cert_max_execution: Execution | None = field(
-        default=None, repr=False
-    )
+    _cert_max_run: Run | None = field(default=None, repr=False)
+    # the run whose materialization is the witness's execution
+    _witness_run: Run | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.partition is None:
@@ -450,7 +489,13 @@ class LowerBoundDriver:
         )
 
     def attack(self) -> AttackOutcome:
-        """Run the full pipeline; always returns (never raises _Found)."""
+        """Run the full pipeline.
+
+        Raises:
+            SurvivedBelowFloor: when no violation was found yet fewer
+                than ``t²/32`` messages were observed — the one outcome
+                Theorem 2 rules out.
+        """
         with self.tracer.span(
             "attack",
             protocol=self.spec.name,
@@ -512,7 +557,7 @@ class LowerBoundDriver:
                     cell_id=label,
                 )
         self._flush_telemetry(witness)
-        return AttackOutcome(
+        outcome = AttackOutcome(
             protocol=self.spec.name,
             n=self.spec.n,
             t=self.spec.t,
@@ -528,6 +573,9 @@ class LowerBoundDriver:
             rounds_baseline=self._rounds_baseline,
             certificate=certificate,
         )
+        if witness is None and outcome.bound.below_floor:
+            raise SurvivedBelowFloor(outcome)
+        return outcome
 
     # ------------------------------------------------------------------
     # pipeline stages
@@ -536,23 +584,22 @@ class LowerBoundDriver:
     def _fault_free_checks(self) -> None:
         """Stage 1: Weak Validity and Termination in E_0 and E_1."""
         for bit in (0, 1):
-            execution = self._run(bit, group=None, from_round=None)
-            self._require_unanimous(
-                execution, context=f"fault-free all-{bit}"
-            )
+            run = self._run(bit, group=None, from_round=None)
+            self._require_unanimous(run, context=f"fault-free all-{bit}")
             for pid in range(self.spec.n):
-                decision = execution.decision(pid)
+                decision = run.decision(pid)
                 if decision != bit:
                     self._found(
+                        run,
                         ViolationWitness(
                             kind=ViolationKind.WEAK_VALIDITY,
-                            execution=execution,
+                            execution=_materialized(run),
                             culprit=pid,
                             note=(
                                 f"all processes correct and propose {bit} "
                                 f"but p{pid} decided {decision!r}"
                             ),
-                        )
+                        ),
                     )
 
     def _round_one_isolations(self) -> dict[tuple[Bit, str], Payload]:
@@ -679,8 +726,8 @@ class LowerBoundDriver:
 
     def _merge_and_extract(
         self,
-        exec_b: Execution,
-        exec_c: Execution,
+        exec_b: Run,
+        exec_c: Run,
         round_b: Round,
         round_c: Round,
         expect_b: Payload,
@@ -693,14 +740,24 @@ class LowerBoundDriver:
         least one of them when the expectations differ.
         """
         assert self.partition is not None
+        assert self.cache is not None
         spec = MergeSpec(
             group_b=self.partition.group_b,
             group_c=self.partition.group_c,
             round_b=round_b,
             round_c=round_c,
         )
+        prefix: PrefixForker | None = None
+        if isinstance(exec_b, KernelTrace) and self.reuse:
+            state = self.cache.kernel_state(
+                self._spec_key, exec_b.proposals[0]
+            )
+            if state is not None:
+                prefix = state[1]
         with self.tracer.span("merge"):
-            merged = merge(spec, exec_b, exec_c, self.spec.factory)
+            merged = merge(
+                spec, exec_b, exec_c, self.spec.factory, prefix=prefix
+            )
         if self.certify:
             self._cert_merge_ctx = {
                 "exec_b": exec_b,
@@ -724,11 +781,11 @@ class LowerBoundDriver:
 
     def _lemma2_check(
         self,
-        execution: Execution,
+        execution: Run,
         group_label: str,
         from_round: Round,
         correct_decision: Payload,
-        refetch: "Callable[[], Execution] | None" = None,
+        refetch: "Callable[[], Run] | None" = None,
     ) -> None:
         """If the isolated group's majority strays, try the extraction."""
         group = self._group(group_label)
@@ -746,7 +803,7 @@ class LowerBoundDriver:
 
     def _lemma2_extract(
         self,
-        execution: Execution,
+        execution: Run,
         group_label: str,
         from_round: Round,
         correct_decision: Payload,
@@ -762,8 +819,11 @@ class LowerBoundDriver:
         """
         group = self._group(group_label)
         correct = execution.correct
+        correct_mask = group_mask(correct)
 
         def omitted_from_correct(pid: ProcessId) -> int:
+            if isinstance(execution, KernelTrace):
+                return execution.omitted_from(pid, correct_mask)
             behavior = execution.behavior(pid)
             return sum(
                 1
@@ -810,6 +870,7 @@ class LowerBoundDriver:
                 }
             if swapped.execution.decision(pid) is None:
                 self._found(
+                    swapped.execution,
                     ViolationWitness(
                         kind=ViolationKind.TERMINATION,
                         execution=swapped.execution,
@@ -818,9 +879,10 @@ class LowerBoundDriver:
                             f"swap freed p{pid} (isolated in {group_label} "
                             f"from round {from_round}) which never decides"
                         ),
-                    )
+                    ),
                 )
             self._found(
+                swapped.execution,
                 ViolationWitness(
                     kind=ViolationKind.AGREEMENT,
                     execution=swapped.execution,
@@ -832,14 +894,14 @@ class LowerBoundDriver:
                         f"{swapped.execution.decision(pid)!r} vs "
                         f"p{counterpart}'s {correct_decision!r}"
                     ),
-                )
+                ),
             )
 
     def _require_unanimous(
         self,
-        execution: Execution,
+        execution: Run,
         context: str,
-        refetch: "Callable[[], Execution] | None" = None,
+        refetch: "Callable[[], Run] | None" = None,
     ) -> Payload:
         """All correct processes decided one value — or a direct witness.
 
@@ -856,12 +918,13 @@ class LowerBoundDriver:
             if refetch is not None and self._truncated(execution):
                 execution = refetch()
             self._found(
+                execution,
                 ViolationWitness(
                     kind=ViolationKind.TERMINATION,
-                    execution=execution,
+                    execution=_materialized(execution),
                     culprit=undecided[0],
                     note=f"correct p{undecided[0]} undecided in {context}",
-                )
+                ),
             )
         by_value: dict[Payload, ProcessId] = {}
         for pid in sorted(execution.correct):
@@ -871,22 +934,23 @@ class LowerBoundDriver:
                 execution = refetch()
             values = sorted(by_value, key=repr)
             self._found(
+                execution,
                 ViolationWitness(
                     kind=ViolationKind.AGREEMENT,
-                    execution=execution,
+                    execution=_materialized(execution),
                     culprit=by_value[values[0]],
                     counterpart=by_value[values[1]],
                     note=f"correct processes split in {context}",
-                )
+                ),
             )
         return next(iter(by_value))
 
-    def _truncated(self, execution: Execution) -> bool:
-        return execution.rounds < self.spec.rounds
+    def _truncated(self, execution: Run) -> bool:
+        return rounds_spanned(execution) < self.spec.rounds
 
     def _materializer(
         self, bit: Bit, group: str, from_round: Round
-    ) -> "Callable[[], Execution]":
+    ) -> "Callable[[], Run]":
         """A thunk re-running the configuration at full horizon."""
         return lambda: self._run(bit, group, from_round, full=True)
 
@@ -897,7 +961,7 @@ class LowerBoundDriver:
         from_round: Round | None,
         *,
         full: bool = False,
-    ) -> Execution:
+    ) -> Run:
         """Run (and cache) ``E_bit`` or ``E_bit^{G(k)}``.
 
         ``full`` demands a full-horizon trace (witness embedding, merge
@@ -924,7 +988,7 @@ class LowerBoundDriver:
         from_round: Round | None,
         *,
         full: bool = False,
-    ) -> Execution:
+    ) -> Run:
         assert self.cache is not None
         horizon = self.spec.rounds
         sig = (
@@ -941,7 +1005,7 @@ class LowerBoundDriver:
         entry = self.cache.lookup(key)
         if entry is not None and (entry.complete or not full):
             self.cache.hits += 1
-            return entry.execution
+            return entry.run
         if group is None:
             return self._run_fault_free(bit, key)
         assert from_round is not None
@@ -956,7 +1020,7 @@ class LowerBoundDriver:
             key, bit, members, from_round, horizon, full
         )
 
-    def _run_fault_free(self, bit: Bit, key: tuple) -> Execution:
+    def _run_fault_free(self, bit: Bit, key: tuple) -> Run:
         """Simulate a fault-free run, checkpointing it for later resumes.
 
         Always full-horizon: fault-free traces anchor the observed bound
@@ -982,24 +1046,24 @@ class LowerBoundDriver:
         )
         self._rounds_simulated += execution.rounds
         messages = streaming.correct_messages
-        self._observe_messages(messages, execution=execution)
+        self._observe_messages(messages, run=execution)
         self.cache.store(key, _CacheEntry(execution, messages, True))
         self.cache.misses += 1
         if checkpointer is not None and checkpointer.enabled:
             self.cache.store_checkpointer(self._spec_key, bit, checkpointer)
         return execution
 
-    def _run_fault_free_kernel(self, bit: Bit, key: tuple) -> Execution:
+    def _run_fault_free_kernel(self, bit: Bit, key: tuple) -> KernelTrace:
         """The mask-kernel fault-free run.
 
         Instead of a :class:`MachineCheckpointer` deep-copying machines
         at every registered round boundary, the cache records the mask
         trace plus a :class:`~repro.sim.kernel.PrefixForker`; scan
-        candidates deep-copy once at their divergence round.  The
-        materialized execution is additionally pushed through
-        :func:`check_execution` when checking is on — fault-free traces
-        anchor witnesses and the observed bound, so they get the full
-        Appendix-A treatment even on the fast path.
+        candidates deep-copy once at their divergence round.  The trace
+        is always materialized and, when checking is on, pushed through
+        :func:`check_execution`: fault-free runs anchor witnesses and the
+        observed bound, and every forked trace borrows their fragments,
+        so they get the full Appendix-A treatment even on the fast path.
         """
         assert self.cache is not None
         proposals = [bit] * self.spec.n
@@ -1014,8 +1078,8 @@ class LowerBoundDriver:
             check_execution(execution)
         self._rounds_simulated += trace.rounds_run
         messages = trace.message_complexity()
-        self._observe_messages(messages, execution=execution)
-        self.cache.store(key, _CacheEntry(execution, messages, True))
+        self._observe_messages(messages, run=trace)
+        self.cache.store(key, _CacheEntry(trace, messages, True))
         self.cache.misses += 1
         if self.reuse:
             forker = PrefixForker(
@@ -1024,7 +1088,7 @@ class LowerBoundDriver:
             self.cache.store_kernel_state(
                 self._spec_key, bit, (trace, forker)
             )
-        return execution
+        return trace
 
     def _try_reuse(
         self,
@@ -1033,7 +1097,7 @@ class LowerBoundDriver:
         members: frozenset[ProcessId],
         from_round: Round,
         horizon: int,
-    ) -> Execution | None:
+    ) -> Run | None:
         """The semantic reuses: beyond-horizon identity and aliasing."""
         assert self.cache is not None
         if from_round > horizon:
@@ -1041,31 +1105,31 @@ class LowerBoundDriver:
             # the fault-free one with the faulty set rewritten to the
             # (fault-committing-nothing) isolated group.
             base = self._run(bit, None, None)
-            execution = Execution(
-                n=self.spec.n,
-                t=self.spec.t,
-                faulty=members,
-                behaviors=base.behaviors,
-            )
-            entry = _CacheEntry(
-                execution, execution.message_complexity(), True
-            )
+            run: Run
+            if isinstance(base, KernelTrace):
+                run = base.with_corrupted(members)
+            else:
+                run = Execution(
+                    n=self.spec.n,
+                    t=self.spec.t,
+                    faulty=members,
+                    behaviors=base.behaviors,
+                )
+            entry = _CacheEntry(run, run.message_complexity(), True)
             self.cache.store(key, entry)
             self.cache.alias_hits += 1
-            self._observe_messages(entry.messages, execution=execution)
-            return execution
+            self._observe_messages(entry.messages, run=run)
+            return run
         family = self.cache.isolation_family(self._spec_key, bit, members)
         for k_prime, sibling in sorted(family, reverse=True):
             if k_prime == from_round or not sibling.complete:
                 continue
             lo, hi = sorted((k_prime, from_round))
-            if quiescent_toward(sibling.execution, members, lo, hi):
+            if quiescent_toward(sibling.run, members, lo, hi):
                 self.cache.store(key, sibling)
                 self.cache.alias_hits += 1
-                self._observe_messages(
-                    sibling.messages, execution=sibling.execution
-                )
-                return sibling.execution
+                self._observe_messages(sibling.messages, run=sibling.run)
+                return sibling.run
         return None
 
     def _simulate_isolation(
@@ -1076,7 +1140,7 @@ class LowerBoundDriver:
         from_round: Round,
         horizon: int,
         full: bool,
-    ) -> Execution:
+    ) -> Run:
         """Actually simulate ``E_bit^{G(from_round)}``.
 
         Resumes from the fault-free checkpoint at ``from_round`` when
@@ -1126,7 +1190,7 @@ class LowerBoundDriver:
             self._rounds_simulated += horizon - from_round + 1
             self._prefix_rounds_skipped += from_round - 1
             messages = execution.message_complexity()
-            self._observe_messages(messages, execution=execution)
+            self._observe_messages(messages, run=execution)
             self.cache.store(key, _CacheEntry(execution, messages, True))
             self.cache.misses += 1
             return execution
@@ -1147,7 +1211,7 @@ class LowerBoundDriver:
             # Truncated traces undercount §2 complexity (protocols may
             # keep sending after deciding), so only full runs feed the
             # observed bound.
-            self._observe_messages(messages, execution=execution)
+            self._observe_messages(messages, run=execution)
         self.cache.store(key, _CacheEntry(execution, messages, complete))
         self.cache.misses += 1
         return execution
@@ -1160,7 +1224,7 @@ class LowerBoundDriver:
         from_round: Round,
         horizon: int,
         full: bool,
-    ) -> Execution:
+    ) -> KernelTrace:
         """The batched mask-kernel isolation scan step.
 
         Candidates with ``from_round >= 2`` fan out of the fault-free
@@ -1199,16 +1263,13 @@ class LowerBoundDriver:
                     base_trace,
                     from_round,
                 )
-                execution = trace.to_execution()
                 self._rounds_simulated += horizon - from_round + 1
                 self._prefix_rounds_skipped += from_round - 1
                 messages = trace.message_complexity()
-                self._observe_messages(messages, execution=execution)
-                self.cache.store(
-                    key, _CacheEntry(execution, messages, True)
-                )
+                self._observe_messages(messages, run=trace)
+                self.cache.store(key, _CacheEntry(trace, messages, True))
                 self.cache.misses += 1
-                return execution
+                return trace
         early = "all" if self.early_stop and not full else None
         trace = run_kernel(
             self._sim_config(),
@@ -1217,17 +1278,16 @@ class LowerBoundDriver:
             compiled,
             early_stop=early,
         )
-        execution = trace.to_execution()
         self._rounds_simulated += trace.rounds_run
         complete = trace.rounds_run == horizon
         if not complete:
             self._early_stops += 1
         messages = trace.message_complexity()
         if complete:
-            self._observe_messages(messages, execution=execution)
-        self.cache.store(key, _CacheEntry(execution, messages, complete))
+            self._observe_messages(messages, run=trace)
+        self.cache.store(key, _CacheEntry(trace, messages, complete))
         self.cache.misses += 1
-        return execution
+        return trace
 
     def _sim_config(self) -> SimulationConfig:
         """The kernel-run configuration mirroring ``spec.run_uniform``."""
@@ -1286,23 +1346,14 @@ class LowerBoundDriver:
             return self.partition.group_c
         raise ReproError(f"unknown group label {label!r}")
 
-    def _observe(self, execution: Execution) -> None:
-        self._observe_messages(
-            execution.message_complexity(), execution=execution
-        )
+    def _observe(self, run: Run) -> None:
+        self._observe_messages(run.message_complexity(), run=run)
 
-    def _observe_messages(
-        self, messages: int, execution: Execution | None = None
-    ) -> None:
-        if (
-            self.certify
-            and execution is not None
-            and (
-                messages > self._max_messages
-                or self._cert_max_execution is None
-            )
+    def _observe_messages(self, messages: int, run: Run) -> None:
+        if self.certify and (
+            messages > self._max_messages or self._cert_max_run is None
         ):
-            self._cert_max_execution = execution
+            self._cert_max_run = run
         self._max_messages = max(self._max_messages, messages)
         if self.telemetry is not None:
             # The kernel path produces no round events; execution
@@ -1312,7 +1363,9 @@ class LowerBoundDriver:
     def _note(self, message: str) -> None:
         self._log.append(message)
 
-    def _found(self, witness: ViolationWitness) -> None:
+    def _found(self, run: Run, witness: ViolationWitness) -> None:
+        """Record ``witness`` (built from ``run``) and unwind."""
+        self._witness_run = run
         self._note(f"violation: {witness.summary()}")
         raise _Found(witness)
 
@@ -1344,9 +1397,9 @@ class LowerBoundDriver:
         indistinguishability: list[dict] = []
         isolations: list[dict] = []
 
-        def embed(execution: Execution, label: str) -> str:
-            executions[label] = execution
-            origin = self._cert_origin.get(id(execution))
+        def embed(run: Run, label: str) -> str:
+            executions[label] = _materialized(run)
+            origin = self._cert_origin.get(id(run))
             if origin is not None:
                 bit, group, from_round = origin
                 step: dict = {"op": "simulate", "result": label,
@@ -1365,12 +1418,12 @@ class LowerBoundDriver:
                 provenance.append(step)
             return label
 
-        def embed_with_history(execution: Execution, label: str) -> str:
+        def embed_with_history(run: Run, label: str) -> str:
             ctx = self._cert_merge_ctx
-            if ctx is not None and ctx["merged"] is execution:
+            if ctx is not None and ctx["merged"] is run:
                 embed(ctx["exec_b"], "merge-input-b")
                 embed(ctx["exec_c"], "merge-input-c")
-                executions[label] = execution
+                executions[label] = _materialized(run)
                 provenance.append(
                     {
                         "op": "merge",
@@ -1398,7 +1451,7 @@ class LowerBoundDriver:
                     }
                 )
             else:
-                embed(execution, label)
+                embed(run, label)
             return label
 
         witness_label: str | None = None
@@ -1430,10 +1483,11 @@ class LowerBoundDriver:
                     }
                 )
             else:
-                embed_with_history(witness.execution, witness_label)
-        elif self._cert_max_execution is not None:
+                assert self._witness_run is not None
+                embed_with_history(self._witness_run, witness_label)
+        elif self._cert_max_run is not None:
             max_label = embed_with_history(
-                self._cert_max_execution, "max-messages"
+                self._cert_max_run, "max-messages"
             )
         return build_certificate(
             protocol=self.spec.name,

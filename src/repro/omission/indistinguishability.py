@@ -19,14 +19,37 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.sim.execution import Execution
+from repro.sim.kernel import KernelTrace
 from repro.sim.state import behaviors_indistinguishable
 from repro.types import ProcessId, Round
 
 
 def indistinguishable_to(
-    left: Execution, right: Execution, pid: ProcessId
+    left: Execution | KernelTrace,
+    right: Execution | KernelTrace,
+    pid: ProcessId,
 ) -> bool:
-    """Whether ``pid`` cannot tell ``left`` from ``right`` (§3)."""
+    """Whether ``pid`` cannot tell ``left`` from ``right`` (§3).
+
+    Two kernel traces are compared on their rows, with the verdict
+    :func:`~repro.sim.state.behaviors_indistinguishable` gives on their
+    materialized executions: the same proposal and horizon, and in
+    every round the same received senders with the same payloads.
+    """
+    if isinstance(left, KernelTrace) and isinstance(right, KernelTrace):
+        if (
+            left.proposals[pid] != right.proposals[pid]
+            or left.rounds_run != right.rounds_run
+        ):
+            return False
+        return all(
+            row is other
+            or left.received_view(index, pid)
+            == right.received_view(index, pid)
+            for index, (row, other) in enumerate(
+                zip(left.rounds, right.rounds)
+            )
+        )
     return behaviors_indistinguishable(
         left.behavior(pid), right.behavior(pid)
     )

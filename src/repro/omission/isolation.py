@@ -11,7 +11,7 @@ an execution iff every ``p ∈ G``:
 :class:`IsolationAdversary` realizes the strategy (possibly for several
 disjoint groups at once, as the merged executions of §3 require), and
 :func:`check_isolated` verifies the *iff* of Definition 1 on a recorded
-execution.
+execution (on a mask-kernel trace, from its masks).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 from repro.errors import AdversaryError, ModelViolation
 from repro.sim.adversary import Adversary
 from repro.sim.execution import Execution
+from repro.sim.kernel import KernelTrace, group_mask, mask_members
 from repro.sim.message import Message
 from repro.types import ProcessId, Round
 
@@ -85,11 +86,14 @@ def isolate_group(
 
 
 def check_isolated(
-    execution: Execution,
+    execution: Execution | KernelTrace,
     group: Iterable[ProcessId],
     from_round: Round,
 ) -> None:
     """Verify Definition 1 for ``group`` in a recorded execution.
+
+    A :class:`~repro.sim.kernel.KernelTrace` is checked on its masks (it
+    cannot send-omit, so only the receive clauses need reading).
 
     Raises:
         ModelViolation: if any clause of Definition 1 fails — the group is
@@ -111,6 +115,9 @@ def check_isolated(
             f"isolated group {sorted(members)} not within faulty set "
             f"{sorted(execution.faulty)}"
         )
+    if isinstance(execution, KernelTrace):
+        _check_isolated_masks(execution, members, from_round)
+        return
     for pid in sorted(members):
         behavior = execution.behavior(pid)
         if behavior.all_send_omitted():
@@ -140,8 +147,34 @@ def check_isolated(
                     )
 
 
+def _check_isolated_masks(
+    trace: KernelTrace, members: frozenset[ProcessId], from_round: Round
+) -> None:
+    inside = group_mask(members)
+    for round_, row in enumerate(trace.rounds, start=1):
+        for pid in sorted(members):
+            outside = row.recv_masks[pid] & ~inside
+            if round_ >= from_round and outside:
+                raise ModelViolation(
+                    f"p{pid} received from p{mask_members(outside)[0]} in "
+                    f"round {round_}, which isolation from round "
+                    f"{from_round} requires dropping"
+                )
+            omitted = row.omit_masks[pid]
+            if omitted & inside:
+                raise ModelViolation(
+                    f"p{pid} receive-omitted an in-group message from "
+                    f"p{mask_members(omitted & inside)[0]} in round {round_}"
+                )
+            if omitted and round_ < from_round:
+                raise ModelViolation(
+                    f"p{pid} receive-omitted a message in round {round_}, "
+                    f"before the isolation round {from_round}"
+                )
+
+
 def quiescent_toward(
-    execution: Execution,
+    execution: Execution | KernelTrace,
     group: Iterable[ProcessId],
     lo: Round,
     hi: Round,
@@ -158,8 +191,11 @@ def quiescent_toward(
     from round ``hi`` on both drop exactly the outside→group messages.
     Deterministic machines make the equality literal, fragment for
     fragment, so one simulation can serve the whole quiescent span of a
-    critical-round scan (§3, Lemma 4).
+    critical-round scan (§3, Lemma 4).  A kernel trace answers from its
+    masks (:meth:`~repro.sim.kernel.KernelTrace.quiescent_toward`).
     """
+    if isinstance(execution, KernelTrace):
+        return execution.quiescent_toward(group, lo, hi)
     members = frozenset(group)
     for pid in sorted(members):
         behavior = execution.behavior(pid)

@@ -21,6 +21,14 @@ transition function (its line 18 applies 𝒜 to *all* processes), feeding
 group A the full ``to_i`` and groups B/C their *recorded* received sets.
 Determinism makes the recomputed B/C behaviour coincide with the records;
 we assert that coincidence (``strict_replay``) instead of trusting it.
+
+Two mask-kernel traces merge on the kernel: the merged execution is the
+run of the same machines under ``IsolationAdversary({B: k_B, C: k_C})``
+with A and B proposing as in the B source and C as in the C source —
+Lemma 16 is exactly the statement that B and C then observe what they
+observed in their sources.  Lemma 16's conclusions and the replay
+cross-check are asserted on the rows; the object checks run in full
+whenever the merged trace is materialized.
 """
 
 from __future__ import annotations
@@ -28,11 +36,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ModelViolation
-from repro.omission.isolation import check_isolated
+from repro.omission.indistinguishability import indistinguishable_to
+from repro.omission.isolation import IsolationAdversary, check_isolated
+from repro.omission.masks import compile_omissions
 from repro.sim.execution import Execution, check_execution
+from repro.sim.kernel import (
+    KernelTrace,
+    PrefixForker,
+    check_trace,
+    fork_kernel,
+    rounds_spanned,
+    run_kernel,
+)
 from repro.sim.message import Message
 from repro.sim.process import Process, ProcessFactory
-from repro.sim.state import Behavior, Fragment, behaviors_indistinguishable
+from repro.sim.simulator import SimulationConfig
+from repro.sim.state import Behavior, Fragment
 from repro.types import Payload, ProcessId, Round
 
 
@@ -65,7 +84,7 @@ class MergeSpec:
         return frozenset(range(n)) - self.group_b - self.group_c
 
 
-def uniform_proposal(execution: Execution) -> Payload:
+def uniform_proposal(execution: Execution | KernelTrace) -> Payload:
     """The single proposal shared by all processes, if uniform.
 
     The executions of Table 1 are all-propose-0 or all-propose-1; merging
@@ -74,7 +93,10 @@ def uniform_proposal(execution: Execution) -> Payload:
     Raises:
         ModelViolation: if proposals are not uniform.
     """
-    proposals = set(execution.proposals().values())
+    if isinstance(execution, KernelTrace):
+        proposals = set(execution.proposals)
+    else:
+        proposals = set(execution.proposals().values())
     if len(proposals) != 1:
         raise ModelViolation(
             f"expected a uniform proposal, got {sorted(map(repr, proposals))}"
@@ -101,15 +123,19 @@ def is_mergeable(
 
 
 def check_merge_inputs(
-    spec: MergeSpec, exec_b: Execution, exec_c: Execution
+    spec: MergeSpec,
+    exec_b: Execution | KernelTrace,
+    exec_c: Execution | KernelTrace,
 ) -> None:
-    """Validate everything :func:`merge` assumes; raise with specifics."""
+    """Validate everything :func:`merge` assumes; raise with specifics.
+
+    Accepts two executions or two kernel traces (checked on masks)."""
     if exec_b.n != exec_c.n or exec_b.t != exec_c.t:
         raise ModelViolation("executions disagree on (n, t)")
-    if exec_b.rounds != exec_c.rounds:
+    if rounds_spanned(exec_b) != rounds_spanned(exec_c):
         raise ModelViolation(
             f"executions span different horizons "
-            f"({exec_b.rounds} vs {exec_c.rounds})"
+            f"({rounds_spanned(exec_b)} vs {rounds_spanned(exec_c)})"
         )
     if len(spec.group_b) + len(spec.group_c) > exec_b.t:
         raise ModelViolation(
@@ -141,13 +167,14 @@ def check_merge_inputs(
 
 def merge(
     spec: MergeSpec,
-    exec_b: Execution,
-    exec_c: Execution,
+    exec_b: Execution | KernelTrace,
+    exec_c: Execution | KernelTrace,
     factory: ProcessFactory,
     *,
     check: bool = True,
     strict_replay: bool = True,
-) -> Execution:
+    prefix: PrefixForker | None = None,
+) -> Execution | KernelTrace:
     """Algorithm 5: splice two mergeable executions into one.
 
     Args:
@@ -161,10 +188,28 @@ def merge(
         strict_replay: assert that re-running B/C machines on their
             recorded received sets reproduces their recorded sends
             (determinism cross-check).
+        prefix: for two kernel traces, the fault-free run's
+            :class:`~repro.sim.kernel.PrefixForker`; a merge whose
+            isolations both start at round 2 or later forks from it
+            instead of re-running the shared fault-free prefix.
 
     Returns:
-        The merged execution with ``faulty = B ∪ C``.
+        The merged execution with ``faulty = B ∪ C`` — a
+        :class:`~repro.sim.kernel.KernelTrace` when both inputs are
+        traces (see :func:`_merge_traces`).
     """
+    if isinstance(exec_b, KernelTrace) or isinstance(exec_c, KernelTrace):
+        if not (
+            isinstance(exec_b, KernelTrace)
+            and isinstance(exec_c, KernelTrace)
+        ):
+            raise TypeError(
+                "merge inputs must be two executions or two kernel traces"
+            )
+        return _merge_traces(
+            spec, exec_b, exec_c, factory,
+            check=check, strict_replay=strict_replay, prefix=prefix,
+        )
     if check:
         check_merge_inputs(spec, exec_b, exec_c)
     n = exec_b.n
@@ -252,11 +297,115 @@ def merge(
     return merged
 
 
+def _merge_traces(
+    spec: MergeSpec,
+    trace_b: KernelTrace,
+    trace_c: KernelTrace,
+    factory: ProcessFactory,
+    *,
+    check: bool,
+    strict_replay: bool,
+    prefix: PrefixForker | None,
+) -> KernelTrace:
+    """Algorithm 5 on the mask kernel: one run under both isolations.
+
+    Group A runs live; B and C are isolated from ``k_B``/``k_C``, so the
+    kernel delivers them exactly the in-group messages their sources
+    recorded — provided Lemma 16 holds, which :func:`check_merge_result`
+    and :func:`check_replay` then assert on the rows.  Materializing
+    the result runs the object :func:`check_merge_inputs` and
+    :func:`check_merge_result` on it and on its materialized sources.
+    """
+    if check:
+        check_merge_inputs(spec, trace_b, trace_c)
+    n = trace_b.n
+    proposals = tuple(
+        trace_c.proposals[pid] if pid in spec.group_c
+        else trace_b.proposals[pid]
+        for pid in range(n)
+    )
+    compiled = compile_omissions(
+        IsolationAdversary(
+            {spec.group_b: spec.round_b, spec.group_c: spec.round_c}
+        ),
+        n,
+    )
+    assert compiled is not None  # isolations always compile
+    config = SimulationConfig(
+        n=n, t=trace_b.t, rounds=trace_b.rounds_run, check=check
+    )
+    first = min(spec.round_b, spec.round_c)
+    merged: KernelTrace | None = None
+    if (
+        prefix is not None
+        and 2 <= first <= config.rounds
+        and prefix.base.proposals == proposals
+    ):
+        # Before both isolation rounds the merge is the fault-free run.
+        machines, _replayed = prefix.machines_at(first)
+        if machines is not None:
+            merged = fork_kernel(
+                config, machines, compiled, prefix.base, first
+            )
+    if merged is None:
+        merged = run_kernel(config, proposals, factory, compiled)
+    if strict_replay:
+        check_replay(spec, trace_b, trace_c, merged)
+    if check:
+        check_merge_result(spec, trace_b, trace_c, merged)
+
+        def object_checks(execution: Execution) -> None:
+            exec_b, exec_c = trace_b.to_execution(), trace_c.to_execution()
+            check_merge_inputs(spec, exec_b, exec_c)
+            check_merge_result(spec, exec_b, exec_c, execution)
+
+        merged.on_materialize = object_checks
+    return merged
+
+
+def check_replay(
+    spec: MergeSpec,
+    trace_b: KernelTrace,
+    trace_c: KernelTrace,
+    merged: KernelTrace,
+) -> None:
+    """The strict-replay cross-check on masks: every member of ``B``
+    (resp. ``C``) sends the same messages and decides the same in the
+    merge as in its source, round by round.
+
+    Raises:
+        ModelViolation: naming the first diverging process and round.
+    """
+    for group, source in (
+        (spec.group_b, trace_b), (spec.group_c, trace_c)
+    ):
+        members = sorted(group)
+        for round_, (row, recorded) in enumerate(
+            zip(merged.rounds, source.rounds), start=1
+        ):
+            if row is recorded:  # a shared fault-free prefix row
+                continue
+            for pid in members:
+                if (
+                    row.send_masks[pid] != recorded.send_masks[pid]
+                    or row.payloads[pid] != recorded.payloads[pid]
+                ):
+                    raise ModelViolation(
+                        f"replay divergence: p{pid} r{round_} sends "
+                        f"differ from its recorded behaviour"
+                    )
+                if row.decisions[pid] != recorded.decisions[pid]:
+                    raise ModelViolation(
+                        f"replay divergence: p{pid} r{round_} decision "
+                        f"differs from its recorded behaviour"
+                    )
+
+
 def check_merge_result(
     spec: MergeSpec,
-    exec_b: Execution,
-    exec_c: Execution,
-    merged: Execution,
+    exec_b: Execution | KernelTrace,
+    exec_c: Execution | KernelTrace,
+    merged: Execution | KernelTrace,
 ) -> None:
     """Machine-check Lemma 16's three conclusions on a merged execution.
 
@@ -265,21 +414,23 @@ def check_merge_result(
        member of ``B`` (resp. ``C``).
     3. ``B`` (resp. ``C``) is isolated from ``k_B`` (resp. ``k_C``) in it.
 
+    Three kernel traces are checked on their masks, with the verdicts
+    the object checks give on their materializations.
+
     Raises:
         ModelViolation: on the first failing conclusion.
     """
-    check_execution(merged)  # conclusion 1
+    if isinstance(merged, KernelTrace):  # conclusion 1
+        check_trace(merged)
+    else:
+        check_execution(merged)
     for pid in sorted(spec.group_b):  # conclusion 2 (B side)
-        if not behaviors_indistinguishable(
-            merged.behavior(pid), exec_b.behavior(pid)
-        ):
+        if not indistinguishable_to(merged, exec_b, pid):
             raise ModelViolation(
                 f"p{pid} ∈ B distinguishes the merge from E_0^B"
             )
     for pid in sorted(spec.group_c):  # conclusion 2 (C side)
-        if not behaviors_indistinguishable(
-            merged.behavior(pid), exec_c.behavior(pid)
-        ):
+        if not indistinguishable_to(merged, exec_c, pid):
             raise ModelViolation(
                 f"p{pid} ∈ C distinguishes the merge from E_b^C"
             )

@@ -10,7 +10,10 @@ into "a *correct* process disagreed", completing the Lemma-2 contradiction.
 
 The module provides the raw transformation (:func:`swap_omission`) and a
 checked wrapper (:func:`swap_omission_checked`) asserting every conclusion
-of Lemma 15 on the concrete instance.
+of Lemma 15 on the concrete instance.  The checked wrapper also accepts a
+mask-kernel :class:`~repro.sim.kernel.KernelTrace`: it decides the t
+budget from the trace's omit masks (:func:`swapped_faulty_set`) and
+materializes the trace only for a swap that fits.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from repro.errors import ModelViolation
 from repro.omission.indistinguishability import indistinguishable_to_all
 from repro.sim.execution import Execution, check_execution
+from repro.sim.kernel import KernelTrace, mask_members
 from repro.sim.message import Message
 from repro.sim.state import Behavior, Fragment
 from repro.types import ProcessId, Round
@@ -115,6 +119,33 @@ def _build_swap(
     )
 
 
+def swapped_faulty_set(
+    trace: KernelTrace, pid: ProcessId
+) -> frozenset[ProcessId]:
+    """Algorithm 4's ``F'`` (lines 10-11) read off a kernel trace's masks.
+
+    A kernel trace has no send-omissions, so after freeing ``pid`` the
+    faulty processes are the senders ``pid`` ever receive-omitted (they
+    now send-omit) plus every other process that receive-omits anything
+    itself.  Equal to :func:`_plan_swap`'s set on the materialized
+    execution, at the cost of one OR per process and round (memoized on
+    the trace).
+    """
+    unions = trace.omit_unions()
+    faulty = unions[pid]
+    for pz, union in enumerate(unions):
+        if union and pz != pid:
+            faulty |= 1 << pz
+    return frozenset(mask_members(faulty))
+
+
+def _budget_error(faulty: frozenset[ProcessId], t: int) -> ModelViolation:
+    return ModelViolation(
+        f"Lemma 15 precondition: swapped faulty set "
+        f"{sorted(faulty)} exceeds t={t}"
+    )
+
+
 def swap_omission(execution: Execution, pid: ProcessId) -> Execution:
     """Algorithm 4: re-attribute ``pid``'s receive-omissions to the senders.
 
@@ -151,7 +182,7 @@ class SwapResult:
 
 
 def swap_omission_checked(
-    execution: Execution,
+    execution: Execution | KernelTrace,
     pid: ProcessId,
     witness_correct: ProcessId | None = None,
 ) -> SwapResult:
@@ -169,11 +200,21 @@ def swap_omission_checked(
     3. ``pid`` is correct in the result;
     4. ``witness_correct`` (if given) remains correct in the result.
 
+    A :class:`KernelTrace` gets its budget decided from masks first
+    (:func:`swapped_faulty_set`): over budget, the same error is raised
+    and nothing is built; within budget, the trace is materialized and
+    every check above runs on the execution.
+
     Raises:
         ModelViolation: if any hypothesis or conclusion fails — meaning
             either misuse, or (if hypotheses held) a bug falsifying the
             lemma on this instance.
     """
+    if isinstance(execution, KernelTrace):
+        faulty = swapped_faulty_set(execution, pid)
+        if len(faulty) > execution.t:
+            raise _budget_error(faulty, execution.t)
+        execution = execution.to_execution()
     original_behavior = execution.behavior(pid)
     if original_behavior.all_send_omitted():
         raise ModelViolation(
@@ -181,10 +222,7 @@ def swap_omission_checked(
         )
     faulty, edits = _plan_swap(execution, pid)
     if len(faulty) > execution.t:  # before building anything
-        raise ModelViolation(
-            f"Lemma 15 precondition: swapped faulty set "
-            f"{sorted(faulty)} exceeds t={execution.t}"
-        )
+        raise _budget_error(faulty, execution.t)
     swapped = _build_swap(execution, faulty, edits)
     check_execution(swapped)  # conclusion 1
     if not indistinguishable_to_all(execution, swapped):  # conclusion 2

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import AdversaryError, ModelViolation, ProtocolViolation
 from repro.sim.engine import SNAPSHOTS, RoundObserver
@@ -170,7 +170,8 @@ class KernelTrace:
     """
 
     __slots__ = ("n", "t", "proposals", "corrupted", "rounds",
-                 "prefix_rounds", "prefix_execution", "_execution")
+                 "prefix_rounds", "prefix_execution", "on_materialize",
+                 "_execution", "_omit_unions")
 
     def __init__(
         self,
@@ -189,12 +190,76 @@ class KernelTrace:
         self.rounds = rounds
         self.prefix_rounds = prefix_rounds
         self.prefix_execution = prefix_execution
+        # Called once with the materialized execution: the hook through
+        # which a construction (the mask merge) runs its object checks
+        # on exactly the traces that become objects.
+        self.on_materialize: Callable[[Execution], None] | None = None
         self._execution: Execution | None = None
+        self._omit_unions: list[int] | None = None
 
     @property
     def rounds_run(self) -> int:
         """Rounds recorded (shared prefix included)."""
         return len(self.rounds)
+
+    @property
+    def faulty(self) -> frozenset[ProcessId]:
+        """The faulty set ``F`` (the adversary's corruption set)."""
+        return self.corrupted
+
+    @property
+    def correct(self) -> frozenset[ProcessId]:
+        """``Correct(E)``: processes outside the faulty set."""
+        return frozenset(range(self.n)) - self.corrupted
+
+    def with_corrupted(self, corrupted) -> "KernelTrace":
+        """The same rows under another faulty set.
+
+        The driver's beyond-horizon identity: an isolation that never
+        acts within the horizon is the fault-free run with ``F`` rewritten.
+        The alias's execution shares this trace's behaviors."""
+        alias = KernelTrace(
+            self.n, self.t, self.proposals, frozenset(corrupted), self.rounds
+        )
+        alias._execution = Execution(
+            n=self.n,
+            t=self.t,
+            faulty=alias.corrupted,
+            behaviors=self.to_execution().behaviors,
+        )
+        return alias
+
+    def omit_unions(self) -> list[int]:
+        """Per process, the OR of its receive-omit masks over all rounds
+        (the senders it ever dropped); computed once per trace."""
+        if self._omit_unions is None:
+            unions = [0] * self.n
+            for row in self.rounds:
+                for pid, mask in enumerate(row.omit_masks):
+                    unions[pid] |= mask
+            self._omit_unions = unions
+        return self._omit_unions
+
+    def omitted_from(self, pid: ProcessId, senders: int) -> int:
+        """How many messages from ``senders`` (a mask) ``pid``
+        receive-omitted, over all rounds."""
+        return sum(
+            (row.omit_masks[pid] & senders).bit_count()
+            for row in self.rounds
+        )
+
+    def received_view(
+        self, index: int, pid: ProcessId
+    ) -> dict[ProcessId, Payload]:
+        """What ``pid`` received in round ``index + 1``, as the
+        materialized execution records it: ``sender -> payload`` for
+        every sender that sent to ``pid`` and got through."""
+        row = self.rounds[index]
+        view: dict[ProcessId, Payload] = {}
+        for sender in mask_members(row.recv_masks[pid]):
+            if row.send_masks[sender] >> pid & 1:
+                view[sender] = row.payloads[sender][pid]
+        return view
 
     def decision(self, pid: ProcessId) -> Payload | None:
         """The final decision of ``pid`` (``None`` if undecided)."""
@@ -236,7 +301,10 @@ class KernelTrace:
     def to_execution(self) -> Execution:
         """Materialize (once) the bit-identical :class:`Execution`."""
         if self._execution is None:
-            self._execution = self._materialize()
+            execution = self._materialize()
+            if self.on_materialize is not None:
+                self.on_materialize(execution)
+            self._execution = execution
         return self._execution
 
     def _materialize(self) -> Execution:
@@ -278,6 +346,56 @@ class KernelTrace:
         return Execution(
             n=n, t=self.t, faulty=self.corrupted, behaviors=behaviors
         )
+
+
+def rounds_spanned(run: Execution | KernelTrace) -> int:
+    """The rounds an execution or a trace spans (``Execution.rounds`` is
+    that count, ``KernelTrace.rounds`` the row list)."""
+    return run.rounds_run if isinstance(run, KernelTrace) else run.rounds
+
+
+def check_trace(trace: KernelTrace) -> None:
+    """The A.1.6 execution guarantees, checked on a trace's masks.
+
+    The mask analogue of :func:`~repro.sim.execution.check_execution`
+    for traces no live kernel loop vouches for row by row (a merge's
+    result, say): ``|F| <= t``; per receiver and round, the received and
+    receive-omitted senders are disjoint and together are exactly the
+    senders targeting it (send- and receive-validity; a kernel trace has
+    no send-omissions); and only members of ``F`` omit anything.
+
+    Raises:
+        ModelViolation: naming the first violated guarantee.
+    """
+    n, corrupted = trace.n, trace.corrupted
+    if len(corrupted) > trace.t:
+        raise ModelViolation(
+            f"|F| = {len(corrupted)} exceeds t = {trace.t}"
+        )
+    for round_, row in enumerate(trace.rounds, start=1):
+        incoming = [0] * n
+        for sender, mask in enumerate(row.send_masks):
+            for receiver in mask_members(mask):
+                incoming[receiver] |= 1 << sender
+        for pid in range(n):
+            received, omitted = row.recv_masks[pid], row.omit_masks[pid]
+            if received & omitted:
+                raise ModelViolation(
+                    f"p{pid} r{round_}: senders "
+                    f"{mask_members(received & omitted)} both received "
+                    "and receive-omitted"
+                )
+            if received | omitted != incoming[pid]:
+                raise ModelViolation(
+                    f"p{pid} r{round_}: incoming senders "
+                    f"{mask_members(received | omitted)} differ from the "
+                    f"senders targeting it {mask_members(incoming[pid])}"
+                )
+            if omitted and pid not in corrupted:
+                raise ModelViolation(
+                    f"omission-validity: p{pid} commits omission faults "
+                    "but is not in the faulty set"
+                )
 
 
 def _round_fragments(
@@ -614,6 +732,11 @@ class PrefixForker:
         self._forks: dict[Round, list[Process]] = {}
         self.enabled = True
         self.rounds_replayed = 0
+
+    @property
+    def base(self) -> KernelTrace:
+        """The fault-free trace whose schedule the forks follow."""
+        return self._base
 
     def machines_at(
         self, round_: Round

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.experiments import CHEATERS
-from repro.lowerbound.driver import attack_weak_consensus
+from repro.lowerbound.driver import (
+    LowerBoundDriver,
+    SurvivedBelowFloor,
+    attack_weak_consensus,
+)
 from repro.lowerbound.partition import ABCPartition, canonical_partition
 from repro.lowerbound.witnesses import ViolationKind, verify_witness
 from repro.protocols.base import ProtocolSpec
@@ -12,7 +16,10 @@ from repro.protocols.subquadratic import (
     ring_token_spec,
     silent_cheater_spec,
 )
-from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
+from repro.protocols.weak_consensus import (
+    broadcast_weak_consensus_spec,
+    naive_flooding_spec,
+)
 from repro.sim.engine import object_counts, object_counts_delta
 from repro.sim.process import Process
 
@@ -77,9 +84,10 @@ class TestCorrectAlgorithmsSurvive:
     def test_survives_at_paper_scale_without_building_failed_swaps(self):
         """At t=64 every Lemma-2 swap fails the t budget; none is built.
 
-        The count is deterministic: the 640 behaviors belong to the 8
-        executions the driver materializes (80 processes each).  Building
-        the 48 doomed swaps as well would add 3840 more.
+        The count is deterministic: the 160 behaviors belong to the two
+        fault-free executions (80 processes each), the only ones a
+        survivor materializes.  Isolations and merges are decided on
+        masks; building the 48 doomed swaps would add 3840 more.
         """
         before = object_counts()
         outcome = attack_weak_consensus(
@@ -88,7 +96,16 @@ class TestCorrectAlgorithmsSurvive:
         built = object_counts_delta(before)["behaviors_built"]
         assert not outcome.found_violation
         assert outcome.bound.observed >= 64**2 / 32
-        assert built <= 640
+        assert built == 2 * 80
+
+    def test_flooding_survivor_builds_only_its_fault_free_messages(self):
+        """naive-flooding at (40, 32) materializes exactly its two
+        fault-free runs: 40·39 messages a round for 33 rounds each."""
+        before = object_counts()
+        outcome = attack_weak_consensus(naive_flooding_spec(40, 32))
+        built = object_counts_delta(before)["messages_materialized"]
+        assert not outcome.found_violation
+        assert built == 2 * 40 * 39 * 33
 
 
 class TestDriverInterface:
@@ -183,3 +200,62 @@ class TestDirectViolations:
         outcome = attack_weak_consensus(spec)
         assert outcome.witness.kind is ViolationKind.WEAK_VALIDITY
         assert outcome.witness.execution.faulty == frozenset()
+
+
+class TestSurvivalObligation:
+    """No violation and fewer than t²/32 messages is a driver bug."""
+
+    @staticmethod
+    def _observe_nothing(monkeypatch):
+        monkeypatch.setattr(
+            LowerBoundDriver,
+            "_observe_messages",
+            lambda self, messages, run: None,
+        )
+
+    def test_driver_raises_below_the_floor(self, monkeypatch):
+        self._observe_nothing(monkeypatch)
+        with pytest.raises(SurvivedBelowFloor, match="t²/32") as excinfo:
+            attack_weak_consensus(broadcast_weak_consensus_spec(12, 8))
+        outcome = excinfo.value.outcome
+        assert not outcome.found_violation
+        assert outcome.bound.observed == 0
+
+    def test_violations_are_exempt(self, monkeypatch):
+        self._observe_nothing(monkeypatch)
+        assert attack_weak_consensus(leader_echo_spec(12, 8)).witness
+
+    def test_sweep_cell_reports_the_error(self, monkeypatch):
+        from repro.parallel import AttackJob, SweepScheduler
+
+        self._observe_nothing(monkeypatch)
+        report = SweepScheduler(jobs=1).run(
+            [AttackJob("correct", 12, 8), AttackJob("silent", 12, 8)]
+        )
+        failed, broken = report.cells
+        assert failed.error is not None and failed.result is None
+        assert "t²/32" in failed.error.message
+        assert broken.error is None
+
+
+class TestEngineParity:
+    """The kernel path decides on masks; the object engine decides on
+    objects.  Outcomes (log included) and certificates must agree."""
+
+    @pytest.mark.parametrize("name", sorted(CHEATERS))
+    def test_cheater_narrative_and_certificate_match(self, name):
+        spec = CHEATERS[name](24, 16)
+        kernel = attack_weak_consensus(spec, certify=True)
+        objects = attack_weak_consensus(spec, certify=True, kernel="object")
+        assert kernel == objects
+        assert kernel.certificate.dumps() == objects.certificate.dumps()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [naive_flooding_spec(24, 16), broadcast_weak_consensus_spec(80, 64)],
+        ids=["naive-flooding-24-16", "correct-80-64"],
+    )
+    def test_survivor_narrative_matches(self, spec):
+        kernel = attack_weak_consensus(spec)
+        objects = attack_weak_consensus(spec, kernel="object")
+        assert kernel == objects  # the log is part of the outcome

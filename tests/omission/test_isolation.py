@@ -1,6 +1,8 @@
 """Tests for repro.omission.isolation (Definition 1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AdversaryError, ModelViolation
 from repro.omission.isolation import (
@@ -8,11 +10,18 @@ from repro.omission.isolation import (
     check_isolated,
     is_isolated,
     isolate_group,
+    quiescent_toward,
 )
+from repro.omission.masks import compile_omissions
 from repro.protocols.phase_king import phase_king_spec
-from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
+from repro.protocols.weak_consensus import (
+    broadcast_weak_consensus_spec,
+    naive_flooding_spec,
+)
 from repro.sim.adversary import CrashAdversary
+from repro.sim.kernel import run_kernel
 from repro.sim.message import Message
+from repro.sim.simulator import SimulationConfig
 
 
 class TestAdversaryConstruction:
@@ -109,3 +118,44 @@ class TestRecordedExecutionChecks:
         execution = spec.run_uniform(0, isolate_group({1, 2, 3}, 1))
         with pytest.raises(ModelViolation, match="exceeds t"):
             check_isolated(execution, {0, 1, 2, 3}, 1)
+
+
+class TestMaskChecksMatchObjects:
+    """On a kernel trace, Definition 1 and quiescence are read off the
+    masks, with the verdicts the object checks give on its execution."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        flooding=st.booleans(),
+        n=st.integers(4, 8),
+        data=st.data(),
+    )
+    def test_isolation_and_quiescence_verdicts(self, flooding, n, data):
+        t = data.draw(st.integers(2, n - 1))
+        builder = (
+            naive_flooding_spec if flooding else broadcast_weak_consensus_spec
+        )
+        spec = builder(n, t)
+        members = data.draw(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=t)
+        )
+        k = data.draw(st.integers(1, spec.rounds + 1))
+        trace = run_kernel(
+            SimulationConfig(n=n, t=t, rounds=spec.rounds),
+            [data.draw(st.integers(0, 1))] * n,
+            spec.factory,
+            compile_omissions(isolate_group(members, k), n),
+        )
+        claimed = data.draw(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
+        )
+        claimed_round = data.draw(st.integers(1, spec.rounds + 1))
+        execution = trace.to_execution()
+        assert is_isolated(trace, claimed, claimed_round) == is_isolated(
+            execution, claimed, claimed_round
+        )
+        lo = data.draw(st.integers(1, spec.rounds + 1))
+        hi = data.draw(st.integers(lo, spec.rounds + 2))
+        assert quiescent_toward(trace, claimed, lo, hi) == quiescent_toward(
+            execution, claimed, lo, hi
+        )

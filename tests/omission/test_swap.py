@@ -7,22 +7,30 @@ from hypothesis import strategies as st
 from repro.errors import ModelViolation
 from repro.omission.indistinguishability import indistinguishable_to_all
 from repro.omission.isolation import IsolationAdversary, isolate_group
+from repro.omission.masks import compile_omissions
 from repro.omission.swap import (
+    _plan_swap,
     blamed_senders,
     swap_omission,
     swap_omission_checked,
+    swapped_faulty_set,
 )
 from repro.protocols.subquadratic import (
     committee_cheater_spec,
     leader_echo_spec,
 )
-from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
+from repro.protocols.weak_consensus import (
+    broadcast_weak_consensus_spec,
+    naive_flooding_spec,
+)
 from repro.sim.adversary import (
     CrashAdversary,
     OmissionSchedule,
     ScheduledOmissionAdversary,
 )
 from repro.sim.execution import Execution, check_execution
+from repro.sim.kernel import run_kernel
+from repro.sim.simulator import SimulationConfig
 from repro.sim.state import BUILT, Behavior
 
 
@@ -273,3 +281,83 @@ class TestSwapMatchesReference:
             event("within budget")
             result = swap_omission_checked(execution, pid)
             assert_same_swap(result.execution, reference)
+
+
+MASK_SPECS = {
+    **SWAP_SPECS,
+    "naive-flooding": naive_flooding_spec,
+}
+
+
+@st.composite
+def kernel_isolations(draw):
+    """A kernel trace with one or two isolated groups, and a process to
+    free: the runs the driver swaps on its mask path."""
+    builder = MASK_SPECS[draw(st.sampled_from(sorted(MASK_SPECS)))]
+    n = draw(st.integers(4, 9))
+    t = draw(st.integers(2, n - 1))
+    faulty = draw(
+        st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=t, unique=True
+        )
+    )
+    split = draw(st.integers(1, len(faulty)))
+    groups = {frozenset(faulty[:split]): draw(st.integers(1, 3))}
+    if split < len(faulty):
+        groups[frozenset(faulty[split:])] = draw(st.integers(1, 3))
+    spec = builder(n, t)
+    proposals = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    trace = run_kernel(
+        SimulationConfig(n=n, t=t, rounds=spec.rounds),
+        proposals,
+        spec.factory,
+        compile_omissions(IsolationAdversary(groups), n),
+    )
+    pid = draw(st.sampled_from(faulty) | st.integers(0, n - 1))
+    return trace, pid
+
+
+class TestMaskSwapMatchesObjects:
+    """The mask budget check decides exactly as the object swap does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(run=kernel_isolations())
+    def test_mask_faulty_set_and_errors(self, run):
+        trace, pid = run
+        before = BUILT.behaviors
+        try:
+            from_masks = swap_omission_checked(trace, pid)
+        except ModelViolation as error:
+            from_masks = error
+        built = BUILT.behaviors - before
+        mask_faulty = swapped_faulty_set(trace, pid)
+        execution = trace.to_execution()
+        assert mask_faulty == _plan_swap(execution, pid)[0]
+        try:
+            from_objects = swap_omission_checked(execution, pid)
+        except ModelViolation as error:
+            from_objects = error
+        if isinstance(from_objects, ModelViolation):
+            event("over budget")
+            assert isinstance(from_masks, ModelViolation)
+            assert str(from_masks) == str(from_objects)
+            # Decided on masks: nothing was built before the error.
+            assert built == 0
+        else:
+            event("within budget")
+            assert from_masks == from_objects
+
+    def test_over_budget_trace_builds_nothing(self):
+        spec = broadcast_weak_consensus_spec(8, 2)
+        trace = run_kernel(
+            SimulationConfig(n=8, t=2, rounds=spec.rounds),
+            [0] * 8,
+            spec.factory,
+            compile_omissions(isolate_group({7}, 1), 8),
+        )
+        before = BUILT.behaviors
+        with pytest.raises(ModelViolation) as excinfo:
+            swap_omission_checked(trace, 7)
+        assert BUILT.behaviors == before
+        expected = budget_message(reference_swap(trace.to_execution(), 7))
+        assert str(excinfo.value) == expected

@@ -221,6 +221,25 @@ class TestEngineEquivalence:
             )
             assert forked.to_execution() == spec.run_uniform(0, adversary)
 
+    def test_beyond_horizon_alias_equals_the_late_isolation(self):
+        """The driver's beyond-horizon identity on masks: the fault-free
+        trace under a rewritten faulty set is the isolation that never
+        acts, and its execution shares the fault-free behaviors."""
+        spec = ring_token_spec(12, 8)
+        group = frozenset({8, 9})
+        base = _kernel_uniform(spec, 1)
+        alias = base.with_corrupted(group)
+        reference = spec.run_uniform(
+            1, isolate_group(group, spec.rounds + 1)
+        )
+        assert alias.to_execution() == reference
+        assert alias.to_execution().behaviors is base.to_execution().behaviors
+        assert alias.correct == reference.correct
+        assert (
+            alias.message_complexity()
+            == ComplexityReport.of(reference).correct_messages
+        )
+
     def test_kernel_counters_accumulate(self):
         spec = phase_king_spec(7, 2)
         before = object_counts()

@@ -93,14 +93,15 @@ class TestMain:
     def test_survival_below_the_floor_is_a_failure(
         self, protocol, monkeypatch, capsys
     ):
-        """No violation and fewer than t²/32 messages: exit 1, any name."""
+        """No violation and fewer than t²/32 messages: the driver raises,
+        the CLI reports the run and one error line, exit 1, any name."""
         import repro.cli
         from repro.lowerbound.bound import BoundComparison
-        from repro.lowerbound.driver import AttackOutcome
+        from repro.lowerbound.driver import AttackOutcome, SurvivedBelowFloor
         from repro.lowerbound.partition import canonical_partition
 
         def fake_attack(spec, **_options):
-            return AttackOutcome(
+            raise SurvivedBelowFloor(AttackOutcome(
                 protocol=spec.name,
                 n=spec.n,
                 t=spec.t,
@@ -109,7 +110,7 @@ class TestMain:
                 bound=BoundComparison(t=spec.t, observed=1),
                 rounds_simulated=0,
                 rounds_baseline=0,
-            )
+            ))
 
         monkeypatch.setattr(repro.cli, "attack_weak_consensus", fake_attack)
         assert main(["attack", protocol, "--n", "12", "--t", "8"]) == 1

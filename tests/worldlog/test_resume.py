@@ -48,8 +48,34 @@ def _terminal_records(path):
     ]
 
 
+def _live_group_members(pgid):
+    """Processes of group ``pgid`` that are still running (zombies
+    awaiting their reaper do not count)."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:  # exited while we looked
+            continue
+        state, group = fields[0], int(fields[2])
+        if group == pgid and state != "Z":
+            live.append(int(entry))
+    return live
+
+
 def _run_and_kill_mid_flight(log_path):
-    """Launch a jobs=2 sweep subprocess; SIGKILL it after >=1 record."""
+    """Launch a jobs=2 sweep subprocess; SIGKILL its whole process group
+    (the sweep and its pool workers) after >=1 record, and require that
+    none of them outlives the kill."""
     script = "\n".join(
         [
             "from repro.obs.ledger import RunLedger",
@@ -74,6 +100,7 @@ def _run_and_kill_mid_flight(log_path):
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,  # its own group: the workers join it
     )
     try:
         deadline = time.monotonic() + 60
@@ -88,9 +115,19 @@ def _run_and_kill_mid_flight(log_path):
         else:  # pragma: no cover - diagnostics for a hung child
             pytest.fail("sweep subprocess produced no record in 60s")
     finally:
-        if child.poll() is None:
-            child.send_signal(signal.SIGKILL)
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         child.wait(timeout=60)
+    deadline = time.monotonic() + 30
+    while _live_group_members(child.pid):
+        if time.monotonic() > deadline:  # pragma: no cover
+            pytest.fail(
+                f"pool workers {_live_group_members(child.pid)} "
+                "outlived the killed sweep"
+            )
+        time.sleep(0.05)
 
 
 def _certificates(report):
