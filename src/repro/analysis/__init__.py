@@ -5,60 +5,40 @@
 * :mod:`repro.analysis.fitting` — power-law exponent fits (the Ω(t²) /
   o(t²) shape checks).
 * :mod:`repro.analysis.tables` — monospace table rendering.
+
+Every exported name is imported on first access (PEP 562, see
+:mod:`repro.lazy`), so importing one submodule does not load its
+siblings.
 """
 
-from repro.analysis.complexity import (
-    SweepPoint,
-    default_scenarios,
-    exhaustive_isolation_scan,
-    measure_point,
-    mixed_workload,
-    quadratic_parameter_grid,
-    sweep,
-    uniform_workloads,
-)
-from repro.analysis.amortization import (
-    MultiShotReport,
-    run_multi_shot_broadcast,
-)
-from repro.analysis.latency import LatencyReport, dolev_strong_round_floor
-from repro.analysis.fitting import (
-    PowerLawFit,
-    fit_power_law,
-    fit_sweep,
-    is_subquadratic,
-    is_superquadratic,
-)
-from repro.analysis.spacetime import render_divergence, render_spacetime
-from repro.analysis.tables import (
-    render_execution,
-    render_kv,
-    render_sweep,
-    render_table,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "LatencyReport",
-    "MultiShotReport",
-    "PowerLawFit",
-    "run_multi_shot_broadcast",
-    "SweepPoint",
-    "dolev_strong_round_floor",
-    "default_scenarios",
-    "exhaustive_isolation_scan",
-    "fit_power_law",
-    "fit_sweep",
-    "is_subquadratic",
-    "is_superquadratic",
-    "measure_point",
-    "mixed_workload",
-    "quadratic_parameter_grid",
-    "render_divergence",
-    "render_execution",
-    "render_kv",
-    "render_spacetime",
-    "render_sweep",
-    "render_table",
-    "sweep",
-    "uniform_workloads",
-]
+_ORIGINS = {
+    "SweepPoint": "repro.analysis.complexity",
+    "default_scenarios": "repro.analysis.complexity",
+    "exhaustive_isolation_scan": "repro.analysis.complexity",
+    "measure_point": "repro.analysis.complexity",
+    "mixed_workload": "repro.analysis.complexity",
+    "quadratic_parameter_grid": "repro.analysis.complexity",
+    "sweep": "repro.analysis.complexity",
+    "uniform_workloads": "repro.analysis.complexity",
+    "MultiShotReport": "repro.analysis.amortization",
+    "run_multi_shot_broadcast": "repro.analysis.amortization",
+    "LatencyReport": "repro.analysis.latency",
+    "dolev_strong_round_floor": "repro.analysis.latency",
+    "PowerLawFit": "repro.analysis.fitting",
+    "fit_power_law": "repro.analysis.fitting",
+    "fit_sweep": "repro.analysis.fitting",
+    "is_subquadratic": "repro.analysis.fitting",
+    "is_superquadratic": "repro.analysis.fitting",
+    "render_divergence": "repro.analysis.spacetime",
+    "render_spacetime": "repro.analysis.spacetime",
+    "render_execution": "repro.analysis.tables",
+    "render_kv": "repro.analysis.tables",
+    "render_sweep": "repro.analysis.tables",
+    "render_table": "repro.analysis.tables",
+}
+
+__all__ = sorted(_ORIGINS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

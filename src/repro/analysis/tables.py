@@ -7,9 +7,10 @@ tables render as monospace text.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.analysis.complexity import SweepPoint
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.analysis.complexity import SweepPoint
 
 
 def render_table(

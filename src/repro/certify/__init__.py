@@ -37,6 +37,8 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
+# A hook of its own rather than :mod:`repro.lazy`'s: a structural
+# verification loads the verifier and the package roots and nothing else.
 def __getattr__(name: str) -> Any:
     try:
         module_name = _EXPORTS[name]

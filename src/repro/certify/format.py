@@ -45,6 +45,7 @@ from repro.lowerbound.bound import weak_consensus_floor
 from repro.lowerbound.partition import ABCPartition
 from repro.sim.execution import Execution
 from repro.sim.serialization import (
+    PayloadEncoder,
     encode_payload,
     execution_from_dict,
     execution_to_dict,
@@ -222,8 +223,9 @@ def build_certificate(
         ReproError: on inconsistent inputs (dangling labels, a witness
             without its execution).
     """
+    encoder = PayloadEncoder()
     encoded_executions = {
-        label: execution_to_dict(execution)
+        label: execution_to_dict(execution, encoder)
         for label, execution in executions.items()
     }
 

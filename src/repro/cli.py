@@ -51,18 +51,25 @@ import sys
 from typing import Any, Sequence
 
 from repro.errors import ArtifactError, ReproError
-from repro.experiments import ALL_EXPERIMENTS, CHEATERS
-from repro.lowerbound.driver import SurvivedBelowFloor, attack_weak_consensus
-from repro.parallel.jobs import (
-    registered_builders,
-    registered_problems,
-    resolve_builder,
-    resolve_problem,
-)
-from repro.solvability.theorem import classify
 
-_ATTACKABLE = [*sorted(CHEATERS), "correct", "naive-flooding"]
-"""The weak consensus candidates ``attack``/``certify``/``verify-*`` take."""
+# Start-up pays only for the subcommand that runs: this module imports
+# nothing else at its top level.  Subcommand and choice names come from
+# the import-free tables in repro.registry, and each _dispatch branch
+# imports the layers it uses.
+
+
+def attack_weak_consensus(spec, **options):
+    """The attack entry point of ``attack`` and ``certify``.
+
+    Delegates to :func:`repro.lowerbound.driver.attack_weak_consensus`,
+    importing the driver on first call.  Both subcommands call it
+    through this module global, so wrapping or replacing
+    ``repro.cli.attack_weak_consensus`` (as the CLI tests do) reaches
+    every attack the CLI runs.
+    """
+    from repro.lowerbound.driver import attack_weak_consensus as attack
+
+    return attack(spec, **options)
 
 
 def _info(message: str) -> None:
@@ -149,6 +156,8 @@ class _ExactParser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
+    from repro import registry
+
     parser = _ExactParser(
         prog="repro",
         description=(
@@ -157,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for experiment_id in ALL_EXPERIMENTS:
+    for experiment_id in registry.EXPERIMENTS:
         experiment = subparsers.add_parser(
             experiment_id, help=f"run experiment {experiment_id.upper()}"
         )
@@ -193,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     attack.add_argument(
         "protocol",
-        choices=_ATTACKABLE,
+        choices=registry.ATTACKABLE,
         help=(
             "which candidate weak consensus to attack "
             "(naive-flooding is incorrect but quadratic: the driver "
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("path", help="witness JSON file")
     verify.add_argument(
         "protocol",
-        choices=_ATTACKABLE,
+        choices=registry.ATTACKABLE,
         help="the protocol the witness claims to break",
     )
     verify.add_argument("--n", type=int, default=16)
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify_parser.add_argument(
         "protocol",
-        choices=[*_ATTACKABLE, "matrix"],
+        choices=[*registry.ATTACKABLE, "matrix"],
         help=(
             "which candidate to certify, or 'matrix' for one artifact "
             "per seed cheater-matrix cell"
@@ -300,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cert.add_argument(
         "--replay",
         metavar="PROTOCOL",
-        choices=_ATTACKABLE,
+        choices=registry.ATTACKABLE,
         help=(
             "additionally replay every recorded behavior against this "
             "protocol's live code (n, t are read from each artifact)"
@@ -311,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="classify a standard agreement problem"
     )
     classify_parser.add_argument(
-        "problem", choices=registered_problems(), help="which problem"
+        "problem", choices=registry.registered_problems(), help="which problem"
     )
     classify_parser.add_argument("--n", type=int, default=4)
     classify_parser.add_argument("--t", type=int, default=1)
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "protocol",
-        choices=registered_builders(),
+        choices=registry.registered_builders(),
         help="which protocol to measure",
     )
     sweep_parser.add_argument("--max-t", type=int, default=8)
@@ -881,6 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_protocol(name: str, n: int, t: int):
     """Resolve an attack/verify protocol name to a spec."""
+    from repro.registry import resolve_builder
+
     return resolve_builder(name)(n, t)
 
 
@@ -978,8 +989,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command in ALL_EXPERIMENTS:
-        runner = ALL_EXPERIMENTS[args.command]
+    from repro import registry
+
+    if args.command in registry.EXPERIMENTS:
+        runner = registry.resolve(registry.EXPERIMENTS[args.command])
         kwargs = {}
         if getattr(args, "jobs", 1) != 1:
             kwargs["jobs"] = args.jobs
@@ -997,7 +1010,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         ledger, worldlog = _make_ledger(args.ledger)
         progress = _resolve_progress(args)
-        for experiment_id, runner in ALL_EXPERIMENTS.items():
+        for path in registry.EXPERIMENTS.values():
+            runner = registry.resolve(path)
             # Sweep-shaped experiments accept a worker count and a
             # ledger; the rest run as before.
             parameters = inspect.signature(runner).parameters
@@ -1021,6 +1035,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             _info(f"error: {error}")
             return 2
     if args.command == "attack":
+        from repro.lowerbound.driver import SurvivedBelowFloor
         from repro.obs.tracer import NULL_TRACER, LedgerTracer
 
         ledger, worldlog = _make_ledger(args.ledger)
@@ -1066,7 +1081,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if failure is not None:
             _info(f"error: {failure}")
             return 1
-        expected_violation = args.protocol in CHEATERS
+        expected_violation = args.protocol in registry.CHEATERS
         return 0 if outcome.found_violation == expected_violation else 1
     if args.command == "verify-witness":
         from repro.artifact import load_artifact
@@ -1095,7 +1110,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             os.makedirs(out_dir, exist_ok=True)
             matrix = [
                 AttackJob(builder=name, n=t + 4, t=t, certify=True)
-                for name in sorted(CHEATERS)
+                for name in sorted(registry.CHEATERS)
                 for t in (8, 16, 24)
             ]
             report = SweepScheduler(jobs=args.jobs).run(matrix)
@@ -1153,7 +1168,9 @@ def _dispatch(args: argparse.Namespace) -> int:
                 failures += 1
         return 1 if failures else 0
     if args.command == "classify":
-        problem = resolve_problem(args.problem)(args.n, args.t)
+        from repro.solvability.theorem import classify
+
+        problem = registry.resolve_problem(args.problem)(args.n, args.t)
         print(classify(problem).render())
         return 0
     if args.command == "sweep":
@@ -1290,13 +1307,8 @@ def _service_job(args: argparse.Namespace):
     fast with the registry listed, instead of as a queued job's error
     record.
     """
-    from repro.parallel.jobs import (
-        AttackJob,
-        ClassifyJob,
-        MeasureJob,
-        resolve_builder,
-        resolve_problem,
-    )
+    from repro.parallel.jobs import AttackJob, ClassifyJob, MeasureJob
+    from repro.registry import resolve_builder, resolve_problem
 
     if args.certify and args.kind != "attack":
         raise ReproError(

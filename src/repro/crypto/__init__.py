@@ -4,25 +4,26 @@ Provides deterministic per-process keys, HMAC-style unforgeable-in-sim
 signatures, and Dolev–Strong signature chains.  The substitution rationale
 (paper's idealized signatures → keyed hashes inside a closed simulation) is
 documented in DESIGN.md §1.
+
+Every exported name is imported on first access (PEP 562, see
+:mod:`repro.lazy`), so importing one submodule does not load its
+siblings.
 """
 
-from repro.crypto.chains import SignedChain, start_chain, verify_chain
-from repro.crypto.keys import KeyRegistry, SecretKey
-from repro.crypto.signatures import (
-    Signature,
-    SignatureScheme,
-    Signer,
-    canonical_bytes,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "KeyRegistry",
-    "SecretKey",
-    "Signature",
-    "SignatureScheme",
-    "SignedChain",
-    "Signer",
-    "canonical_bytes",
-    "start_chain",
-    "verify_chain",
-]
+_ORIGINS = {
+    "SignedChain": "repro.crypto.chains",
+    "start_chain": "repro.crypto.chains",
+    "verify_chain": "repro.crypto.chains",
+    "KeyRegistry": "repro.crypto.keys",
+    "SecretKey": "repro.crypto.keys",
+    "Signature": "repro.crypto.signatures",
+    "SignatureScheme": "repro.crypto.signatures",
+    "Signer": "repro.crypto.signatures",
+    "canonical_bytes": "repro.crypto.signatures",
+}
+
+__all__ = sorted(_ORIGINS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

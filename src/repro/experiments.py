@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro import registry
 from repro.analysis.complexity import (
     SweepPoint,
     quadratic_parameter_grid,
@@ -33,13 +34,7 @@ from repro.protocols.external_validity import (
     external_validity_spec,
 )
 from repro.protocols.interactive_consistency import authenticated_ic_spec
-from repro.protocols.subquadratic import (
-    committee_cheater_spec,
-    leader_echo_spec,
-    ring_token_spec,
-    seeded_committee_cheater_spec,
-    silent_cheater_spec,
-)
+from repro.protocols.subquadratic import leader_echo_spec
 from repro.protocols.weak_consensus import broadcast_weak_consensus_spec
 from repro.reductions.weak_from_any import (
     reduce_weak_consensus,
@@ -175,13 +170,10 @@ def run_e2(n: int = 10, t: int = 3, isolate_at: int = 2) -> ExperimentResult:
 
 
 CHEATERS: dict[str, Callable[[int, int], ProtocolSpec]] = {
-    "silent": silent_cheater_spec,
-    "leader-echo": leader_echo_spec,
-    "committee": committee_cheater_spec,
-    "ring-token": ring_token_spec,
-    "seeded-committee": seeded_committee_cheater_spec,
+    name: registry.resolve(path) for name, path in registry.CHEATERS.items()
 }
-"""Every cheater's spec builder, called as ``builder(n, t)``, by CLI name."""
+"""Every cheater's spec builder, called as ``builder(n, t)``, by CLI name
+(:data:`repro.registry.CHEATERS`, resolved)."""
 
 
 def run_e3(

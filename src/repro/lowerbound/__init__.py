@@ -6,44 +6,31 @@
   counterexamples.
 * :mod:`repro.lowerbound.driver` — the Lemma 2–5 pipeline that breaks any
   sub-quadratic weak consensus candidate.
+
+Every exported name is imported on first access (PEP 562, see
+:mod:`repro.lazy`), so importing one submodule does not load its
+siblings.
 """
 
-from repro.lowerbound.bound import (
-    BoundComparison,
-    dolev_reischuk_floor,
-    weak_consensus_floor,
-)
-from repro.lowerbound.driver import (
-    AttackOutcome,
-    LowerBoundDriver,
-    attack_weak_consensus,
-)
-from repro.lowerbound.partition import (
-    ABCPartition,
-    canonical_partition,
-    paper_partition,
-)
-from repro.lowerbound.witnesses import (
-    ViolationKind,
-    ViolationWitness,
-    is_valid_witness,
-    minimize_witness,
-    verify_witness,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ABCPartition",
-    "AttackOutcome",
-    "BoundComparison",
-    "LowerBoundDriver",
-    "ViolationKind",
-    "ViolationWitness",
-    "attack_weak_consensus",
-    "canonical_partition",
-    "dolev_reischuk_floor",
-    "is_valid_witness",
-    "minimize_witness",
-    "paper_partition",
-    "verify_witness",
-    "weak_consensus_floor",
-]
+_ORIGINS = {
+    "BoundComparison": "repro.lowerbound.bound",
+    "dolev_reischuk_floor": "repro.lowerbound.bound",
+    "weak_consensus_floor": "repro.lowerbound.bound",
+    "AttackOutcome": "repro.lowerbound.driver",
+    "LowerBoundDriver": "repro.lowerbound.driver",
+    "attack_weak_consensus": "repro.lowerbound.driver",
+    "ABCPartition": "repro.lowerbound.partition",
+    "canonical_partition": "repro.lowerbound.partition",
+    "paper_partition": "repro.lowerbound.partition",
+    "ViolationKind": "repro.lowerbound.witnesses",
+    "ViolationWitness": "repro.lowerbound.witnesses",
+    "is_valid_witness": "repro.lowerbound.witnesses",
+    "minimize_witness": "repro.lowerbound.witnesses",
+    "verify_witness": "repro.lowerbound.witnesses",
+}
+
+__all__ = sorted(_ORIGINS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

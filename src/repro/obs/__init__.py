@@ -21,60 +21,37 @@ Telemetry is wall-clock data: it never participates in outcome
 equality, and the parallel sweep backends are required to agree only on
 the *event order* (``kind``/``name``/``cell_id`` sequence), never on
 timestamps or worker ids.
+
+Every exported name is imported on first access (PEP 562, see
+:mod:`repro.lazy`), so importing one submodule does not load its
+siblings.
 """
 
-from __future__ import annotations
+from repro.lazy import lazy_exports
 
-from repro.obs.export import (
-    chrome_trace,
-    registry_from_events,
-    render_prometheus,
-)
-from repro.obs.ledger import (
-    EVENT_KINDS,
-    LedgerEvent,
-    RunLedger,
-    cell_label,
-    new_run_id,
-    order_signature,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.telemetry import (
-    TELEMETRY_SCHEMA,
-    TelemetryBus,
-    parse_interval,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    LedgerTracer,
-    RoundTraceObserver,
-    Tracer,
-)
+_ORIGINS = {
+    "chrome_trace": "repro.obs.export",
+    "registry_from_events": "repro.obs.export",
+    "render_prometheus": "repro.obs.export",
+    "EVENT_KINDS": "repro.obs.ledger",
+    "LedgerEvent": "repro.obs.ledger",
+    "RunLedger": "repro.obs.ledger",
+    "cell_label": "repro.obs.ledger",
+    "new_run_id": "repro.obs.ledger",
+    "order_signature": "repro.obs.ledger",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "TELEMETRY_SCHEMA": "repro.obs.telemetry",
+    "TelemetryBus": "repro.obs.telemetry",
+    "parse_interval": "repro.obs.telemetry",
+    "NULL_TRACER": "repro.obs.tracer",
+    "LedgerTracer": "repro.obs.tracer",
+    "RoundTraceObserver": "repro.obs.tracer",
+    "Tracer": "repro.obs.tracer",
+}
 
-__all__ = [
-    "EVENT_KINDS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LedgerEvent",
-    "LedgerTracer",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "RoundTraceObserver",
-    "RunLedger",
-    "TELEMETRY_SCHEMA",
-    "TelemetryBus",
-    "Tracer",
-    "cell_label",
-    "chrome_trace",
-    "new_run_id",
-    "order_signature",
-    "parse_interval",
-    "registry_from_events",
-    "render_prometheus",
-]
+__all__ = sorted(_ORIGINS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

@@ -10,64 +10,46 @@
   (mergeability) and the Lemma-16 checks.
 * :mod:`repro.omission.masks` — compilation of the static omission
   adversaries above to the bitmask kernel's AND-mask form.
+
+Every exported name is imported on first access (PEP 562, see
+:mod:`repro.lazy`), so importing one submodule does not load its
+siblings.
 """
 
-from repro.omission.indistinguishability import (
-    DivergenceProfile,
-    ExecutionDiff,
-    diff_executions,
-    divergence_profile,
-    first_distinguishing_round,
-    first_send_divergence,
-    indistinguishable_to,
-    indistinguishable_to_all,
-)
-from repro.omission.isolation import (
-    IsolationAdversary,
-    check_isolated,
-    is_isolated,
-    isolate_group,
-    quiescent_toward,
-)
-from repro.omission.masks import compile_omissions
-from repro.omission.merge import (
-    MergeSpec,
-    check_merge_inputs,
-    check_merge_result,
-    is_mergeable,
-    merge,
-    uniform_proposal,
-)
-from repro.omission.swap import (
-    SwapResult,
-    blamed_senders,
-    swap_omission,
-    swap_omission_checked,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DivergenceProfile",
-    "ExecutionDiff",
-    "IsolationAdversary",
-    "diff_executions",
-    "MergeSpec",
-    "SwapResult",
-    "blamed_senders",
-    "check_isolated",
-    "check_merge_inputs",
-    "check_merge_result",
-    "compile_omissions",
-    "divergence_profile",
-    "first_distinguishing_round",
-    "first_send_divergence",
-    "indistinguishable_to",
-    "indistinguishable_to_all",
-    "is_isolated",
-    "is_mergeable",
-    "isolate_group",
-    "merge",
-    "quiescent_toward",
-    "swap_omission",
-    "swap_omission_checked",
-    "uniform_proposal",
-]
+# ``merge`` shares its name with the submodule that defines it.
+# Importing the submodule binds the package attribute to the
+# module, so a lazy ``merge`` would resolve to the module; the
+# eager import binds the function once, before any such import.
+from repro.omission.merge import merge
+
+_ORIGINS = {
+    "DivergenceProfile": "repro.omission.indistinguishability",
+    "ExecutionDiff": "repro.omission.indistinguishability",
+    "diff_executions": "repro.omission.indistinguishability",
+    "divergence_profile": "repro.omission.indistinguishability",
+    "first_distinguishing_round": "repro.omission.indistinguishability",
+    "first_send_divergence": "repro.omission.indistinguishability",
+    "indistinguishable_to": "repro.omission.indistinguishability",
+    "indistinguishable_to_all": "repro.omission.indistinguishability",
+    "IsolationAdversary": "repro.omission.isolation",
+    "check_isolated": "repro.omission.isolation",
+    "is_isolated": "repro.omission.isolation",
+    "isolate_group": "repro.omission.isolation",
+    "quiescent_toward": "repro.omission.isolation",
+    "compile_omissions": "repro.omission.masks",
+    "MergeSpec": "repro.omission.merge",
+    "check_merge_inputs": "repro.omission.merge",
+    "check_merge_result": "repro.omission.merge",
+    "is_mergeable": "repro.omission.merge",
+    "uniform_proposal": "repro.omission.merge",
+    "SwapResult": "repro.omission.swap",
+    "blamed_senders": "repro.omission.swap",
+    "swap_omission": "repro.omission.swap",
+    "swap_omission_checked": "repro.omission.swap",
+}
+
+__all__ = sorted([*_ORIGINS, "merge"])
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

@@ -4,7 +4,7 @@ The subsystem has two modules:
 
 * :mod:`repro.parallel.jobs` — picklable job descriptions
   (:class:`AttackJob`, :class:`MeasureJob`) that rebuild protocol specs
-  from registry names inside each worker;
+  from :mod:`repro.registry` names inside each worker;
 * :mod:`repro.parallel.scheduler` — :class:`SweepScheduler`, which
   shards a job matrix over a process pool (or a bit-identical serial
   fallback), gathers results in deterministic cell order and merges
@@ -16,9 +16,9 @@ eager import here would make ``import repro.parallel`` pay for the
 whole attack stack even when a caller only wants one registry lookup.
 """
 
-from __future__ import annotations
+from repro.lazy import lazy_exports
 
-_LAZY = {
+_ORIGINS = {
     "AttackJob": "repro.parallel.jobs",
     "CacheStats": "repro.parallel.jobs",
     "ClassifyJob": "repro.parallel.jobs",
@@ -26,33 +26,18 @@ _LAZY = {
     "JobResult": "repro.parallel.jobs",
     "MeasureJob": "repro.parallel.jobs",
     "SweepJob": "repro.parallel.jobs",
-    "UnknownBuilderError": "repro.parallel.jobs",
+    "UnknownBuilderError": "repro.registry",
     "execute_job": "repro.parallel.jobs",
-    "registered_builders": "repro.parallel.jobs",
-    "registered_problems": "repro.parallel.jobs",
-    "resolve_builder": "repro.parallel.jobs",
-    "resolve_problem": "repro.parallel.jobs",
+    "registered_builders": "repro.registry",
+    "registered_problems": "repro.registry",
+    "resolve_builder": "repro.registry",
+    "resolve_problem": "repro.registry",
     "CellError": "repro.parallel.scheduler",
     "SweepCell": "repro.parallel.scheduler",
     "SweepReport": "repro.parallel.scheduler",
     "SweepScheduler": "repro.parallel.scheduler",
 }
 
-__all__ = sorted(_LAZY)
+__all__ = sorted(_ORIGINS)
 
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        module = importlib.import_module(_LAZY[name])
-        value = getattr(module, name)
-        globals()[name] = value  # cache for subsequent lookups
-        return value
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

@@ -1,11 +1,11 @@
-"""Picklable sweep jobs and the builder-name registry they resolve.
+"""Picklable sweep jobs, rebuilt from :mod:`repro.registry` names.
 
 A sweep cell is one ``(builder, n, t)`` configuration of an attack or
 measurement.  Because :class:`~repro.protocols.base.ProtocolSpec` values
 carry arbitrary process factories (closures — not picklable), jobs never
 ship specs across process boundaries: a job carries only the *name* of a
 registered spec builder plus the parameters, and each worker rebuilds the
-spec locally via :func:`resolve_builder`.  Machines are deterministic, so
+spec locally via :func:`~repro.registry.resolve_builder`.  Machines are deterministic, so
 a worker-rebuilt spec produces bit-identical executions, witnesses and
 verdicts to a locally built one — the cross-backend equivalence the
 scheduler's tests enforce.
@@ -41,16 +41,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.errors import ReproError
+from repro.registry import resolve_builder, resolve_problem
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.ledger import LedgerEvent
-
-
-class UnknownBuilderError(ReproError):
-    """A job named a spec builder the registry does not know."""
 
 
 @dataclass(frozen=True)
@@ -73,102 +69,6 @@ class CacheStats:
             alias_hits=self.alias_hits + other.alias_hits,
             misses=self.misses + other.misses,
         )
-
-
-def _correct_builders() -> dict[str, Callable[[int, int], Any]]:
-    """The non-cheater builders every sweep layer shares."""
-    from repro.protocols.dolev_strong import dolev_strong_spec
-    from repro.protocols.interactive_consistency import (
-        authenticated_ic_spec,
-    )
-    from repro.protocols.phase_king import phase_king_spec
-    from repro.protocols.weak_consensus import (
-        broadcast_weak_consensus_spec,
-        naive_flooding_spec,
-    )
-
-    return {
-        "correct": lambda n, t: broadcast_weak_consensus_spec(n, t),
-        "weak-consensus": lambda n, t: broadcast_weak_consensus_spec(
-            n, t
-        ),
-        "naive-flooding": lambda n, t: naive_flooding_spec(n, t),
-        "dolev-strong": lambda n, t: dolev_strong_spec(n, t),
-        "phase-king": lambda n, t: phase_king_spec(n, t),
-        "ic": lambda n, t: authenticated_ic_spec(n, t),
-    }
-
-
-def resolve_builder(name: str) -> Callable[[int, int], Any]:
-    """Resolve a registered builder name to its ``(n, t) -> spec`` callable.
-
-    The registry is the union of the cheater registry
-    (:data:`repro.experiments.CHEATERS`) and the correct-protocol
-    builders shared with the CLI.  Imported lazily to keep this module —
-    which :mod:`repro.experiments` itself imports — cycle-free.
-
-    Raises:
-        UnknownBuilderError: for unregistered names (in a worker this
-            surfaces as a structured per-cell error, not a sweep abort).
-    """
-    from repro.experiments import CHEATERS
-
-    if name in CHEATERS:
-        return CHEATERS[name]
-    correct = _correct_builders()
-    if name in correct:
-        return correct[name]
-    known = sorted(set(CHEATERS) | set(correct))
-    raise UnknownBuilderError(
-        f"unknown spec builder {name!r}; registered: {', '.join(known)}"
-    )
-
-
-def registered_builders() -> list[str]:
-    """All resolvable builder names (cheaters plus correct protocols)."""
-    from repro.experiments import CHEATERS
-
-    return sorted(set(CHEATERS) | set(_correct_builders()))
-
-
-def _problem_builders() -> dict[str, Callable[[int, int], Any]]:
-    """The standard agreement problems :class:`ClassifyJob` resolves."""
-    from repro.validity.standard import (
-        byzantine_broadcast_problem,
-        correct_proposal_problem,
-        interactive_consistency_problem,
-        strong_consensus_problem,
-        weak_consensus_problem,
-    )
-
-    return {
-        "weak": weak_consensus_problem,
-        "strong": strong_consensus_problem,
-        "broadcast": byzantine_broadcast_problem,
-        "ic": interactive_consistency_problem,
-        "correct-proposal": correct_proposal_problem,
-    }
-
-
-def resolve_problem(name: str) -> Callable[[int, int], Any]:
-    """Resolve a standard problem name to its ``(n, t) -> problem``.
-
-    Raises:
-        UnknownBuilderError: for unregistered names, mirroring
-            :func:`resolve_builder`.
-    """
-    problems = _problem_builders()
-    if name in problems:
-        return problems[name]
-    raise UnknownBuilderError(
-        f"unknown standard problem {name!r}; registered: "
-        f"{', '.join(sorted(problems))}"
-    )
-
-
-def registered_problems() -> list[str]:
-    """All resolvable standard problem names."""
-    return sorted(_problem_builders())
 
 
 @dataclass(frozen=True)
@@ -390,7 +290,7 @@ class ClassifyJob:
     """One Theorem-4 solvability classification cell.
 
     ``builder`` names a standard problem from
-    :func:`registered_problems` — the registry role ``builder`` plays
+    :func:`~repro.registry.registered_problems` — the registry role ``builder`` plays
     for the other job kinds, kept under the same field name so the
     ``(kind, builder, n, t)`` cell identity is uniform across kinds.
     """

@@ -26,6 +26,12 @@
   :mod:`repro.protocols.kset` — the §7 beyond-agreement relaxations.
 """
 
+# Unlike the other packages, this one imports every protocol eagerly
+# (see repro.lazy): importing any protocol module defines every concrete
+# Process subclass.  Tools that instrument the state machines, such as
+# verdictbench's traced twin, wrap deliver/outgoing on the subclasses
+# that exist once repro.protocols.base is imported; a lazy package would
+# leave protocols loaded later unwrapped and their calls uncounted.
 from repro.protocols.approximate import (
     ApproximateAgreementProcess,
     approximate_agreement_spec,

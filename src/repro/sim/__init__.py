@@ -22,157 +22,83 @@ Public surface:
   semantics over per-round integer bitmasks for compiled omission
   adversaries, with :class:`~repro.sim.kernel.KernelOracle`
   cross-checking it against the object engine.
+
+Every exported name is imported on first access (PEP 562, see
+:mod:`repro.lazy`), so importing one submodule does not load its
+siblings.
 """
 
-from repro.sim.adversary import (
-    AdaptiveOmissionAdversary,
-    Adversary,
-    ByzantineAdversary,
-    ChattiestTargetAdversary,
-    CrashAdversary,
-    NoFaults,
-    OmissionSchedule,
-    ScheduledOmissionAdversary,
-    SilenceAdversary,
-    compose_omissions,
-)
-from repro.sim.engine import (
-    EarlyStopPolicy,
-    IncrementalChecker,
-    MachineCheckpointer,
-    RoundEngine,
-    RoundEvent,
-    RoundObserver,
-    TraceRecorder,
-)
-from repro.sim.execution import (
-    Execution,
-    ExecutionSummary,
-    check_execution,
-    check_transitions,
-    group_decisions,
-    majority_decision,
-    unanimous_decision,
-)
-from repro.sim.kernel import (
-    CompiledOmissions,
-    KernelOracle,
-    KernelTrace,
-    PrefixForker,
-    fork_kernel,
-    no_faults_compiled,
-    run_kernel,
-)
-from repro.sim.message import Message, broadcast_payload
-from repro.sim.metrics import (
-    ComplexityReport,
-    StreamingComplexity,
-    count_signatures,
-    dolev_reischuk_floor,
-    dolev_reischuk_signature_floor,
-    meets_lower_bound,
-    quadratic_ratio,
-    signature_complexity,
-    weak_consensus_floor,
-)
-from repro.sim.process import (
-    Process,
-    ProcessFactory,
-    ReplayProcess,
-    drive_replay,
-)
-from repro.sim.serialization import (
-    dump_execution,
-    dump_witness,
-    execution_from_dict,
-    execution_to_dict,
-    load_execution,
-    load_witness,
-)
-from repro.sim.simulator import (
-    SimulationConfig,
-    all_correct_decided,
-    decisions_by_value,
-    resume_execution,
-    run_execution,
-    run_with_uniform_proposal,
-)
-from repro.sim.state import (
-    Behavior,
-    Fragment,
-    StateSnapshot,
-    behavior_from_fragments,
-    behaviors_indistinguishable,
-    check_behavior,
-    check_fragment,
-    initial_state,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveOmissionAdversary",
-    "Adversary",
-    "Behavior",
-    "ByzantineAdversary",
-    "ChattiestTargetAdversary",
-    "CompiledOmissions",
-    "ComplexityReport",
-    "CrashAdversary",
-    "EarlyStopPolicy",
-    "Execution",
-    "ExecutionSummary",
-    "Fragment",
-    "IncrementalChecker",
-    "KernelOracle",
-    "KernelTrace",
-    "MachineCheckpointer",
-    "Message",
-    "NoFaults",
-    "OmissionSchedule",
-    "PrefixForker",
-    "Process",
-    "ProcessFactory",
-    "ReplayProcess",
-    "RoundEngine",
-    "RoundEvent",
-    "RoundObserver",
-    "ScheduledOmissionAdversary",
-    "SilenceAdversary",
-    "SimulationConfig",
-    "StateSnapshot",
-    "StreamingComplexity",
-    "TraceRecorder",
-    "all_correct_decided",
-    "behavior_from_fragments",
-    "behaviors_indistinguishable",
-    "broadcast_payload",
-    "check_behavior",
-    "check_execution",
-    "check_fragment",
-    "check_transitions",
-    "compose_omissions",
-    "count_signatures",
-    "decisions_by_value",
-    "dolev_reischuk_floor",
-    "dolev_reischuk_signature_floor",
-    "dump_execution",
-    "dump_witness",
-    "execution_from_dict",
-    "execution_to_dict",
-    "load_execution",
-    "load_witness",
-    "signature_complexity",
-    "weak_consensus_floor",
-    "drive_replay",
-    "fork_kernel",
-    "group_decisions",
-    "initial_state",
-    "majority_decision",
-    "meets_lower_bound",
-    "no_faults_compiled",
-    "quadratic_ratio",
-    "resume_execution",
-    "run_execution",
-    "run_kernel",
-    "run_with_uniform_proposal",
-    "unanimous_decision",
-]
+_ORIGINS = {
+    "AdaptiveOmissionAdversary": "repro.sim.adversary",
+    "Adversary": "repro.sim.adversary",
+    "ByzantineAdversary": "repro.sim.adversary",
+    "ChattiestTargetAdversary": "repro.sim.adversary",
+    "CrashAdversary": "repro.sim.adversary",
+    "NoFaults": "repro.sim.adversary",
+    "OmissionSchedule": "repro.sim.adversary",
+    "ScheduledOmissionAdversary": "repro.sim.adversary",
+    "SilenceAdversary": "repro.sim.adversary",
+    "compose_omissions": "repro.sim.adversary",
+    "EarlyStopPolicy": "repro.sim.engine",
+    "IncrementalChecker": "repro.sim.engine",
+    "MachineCheckpointer": "repro.sim.engine",
+    "RoundEngine": "repro.sim.engine",
+    "RoundEvent": "repro.sim.engine",
+    "RoundObserver": "repro.sim.engine",
+    "TraceRecorder": "repro.sim.engine",
+    "Execution": "repro.sim.execution",
+    "ExecutionSummary": "repro.sim.execution",
+    "check_execution": "repro.sim.execution",
+    "check_transitions": "repro.sim.execution",
+    "group_decisions": "repro.sim.execution",
+    "majority_decision": "repro.sim.execution",
+    "unanimous_decision": "repro.sim.execution",
+    "CompiledOmissions": "repro.sim.kernel",
+    "KernelOracle": "repro.sim.kernel",
+    "KernelTrace": "repro.sim.kernel",
+    "PrefixForker": "repro.sim.kernel",
+    "fork_kernel": "repro.sim.kernel",
+    "no_faults_compiled": "repro.sim.kernel",
+    "run_kernel": "repro.sim.kernel",
+    "Message": "repro.sim.message",
+    "broadcast_payload": "repro.sim.message",
+    "ComplexityReport": "repro.sim.metrics",
+    "StreamingComplexity": "repro.sim.metrics",
+    "count_signatures": "repro.sim.metrics",
+    "dolev_reischuk_floor": "repro.sim.metrics",
+    "dolev_reischuk_signature_floor": "repro.sim.metrics",
+    "meets_lower_bound": "repro.sim.metrics",
+    "quadratic_ratio": "repro.sim.metrics",
+    "signature_complexity": "repro.sim.metrics",
+    "weak_consensus_floor": "repro.sim.metrics",
+    "Process": "repro.sim.process",
+    "ProcessFactory": "repro.sim.process",
+    "ReplayProcess": "repro.sim.process",
+    "drive_replay": "repro.sim.process",
+    "dump_execution": "repro.sim.serialization",
+    "dump_witness": "repro.sim.serialization",
+    "execution_from_dict": "repro.sim.serialization",
+    "execution_to_dict": "repro.sim.serialization",
+    "load_execution": "repro.sim.serialization",
+    "load_witness": "repro.sim.serialization",
+    "SimulationConfig": "repro.sim.simulator",
+    "all_correct_decided": "repro.sim.simulator",
+    "decisions_by_value": "repro.sim.simulator",
+    "resume_execution": "repro.sim.simulator",
+    "run_execution": "repro.sim.simulator",
+    "run_with_uniform_proposal": "repro.sim.simulator",
+    "Behavior": "repro.sim.state",
+    "Fragment": "repro.sim.state",
+    "StateSnapshot": "repro.sim.state",
+    "behavior_from_fragments": "repro.sim.state",
+    "behaviors_indistinguishable": "repro.sim.state",
+    "check_behavior": "repro.sim.state",
+    "check_fragment": "repro.sim.state",
+    "initial_state": "repro.sim.state",
+}
+
+__all__ = sorted(_ORIGINS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

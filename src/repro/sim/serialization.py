@@ -35,6 +35,7 @@ True
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import ReproError
@@ -43,6 +44,9 @@ from repro.sim.message import Message
 from repro.sim.state import Behavior, Fragment, StateSnapshot
 
 FORMAT_VERSION = 1
+
+_CANONICAL = itemgetter(1)
+"""Sort key of an ``(encoded, canonical_json)`` pair."""
 
 
 def canonical_json(data: Any) -> str:
@@ -66,51 +70,120 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+class PayloadEncoder:
+    """Encodes payloads and messages, each distinct object once.
+
+    Flooding protocols put the same payload object (and the same nested
+    sets, round after round) into thousands of messages, and
+    one :class:`~repro.sim.message.Message` appears in its sender's
+    ``sent`` and its receiver's ``received`` sets.  The encoder memoizes
+    every encoding with its :func:`canonical_json` rendering, keyed by
+    object identity — never by value, since ``1 == True`` and
+    ``(1,) == (True,)`` hash equal yet encode differently — and keeps
+    each encoded object alive, so an identity is never reused while the
+    memo holds it.  Canonical renderings of tuples, sets and messages are
+    joined from their elements' cached renderings, which is what
+    :func:`canonical_json` produces for the nested record.  One encoder
+    serves one :func:`execution_to_dict` call, or every execution of one
+    certificate; an object that recurs shares one encoded record.
+    """
+
+    __slots__ = ("_payloads", "_messages")
+
+    def __init__(self) -> None:
+        self._payloads: dict[int, tuple[Any, Any, str]] = {}
+        self._messages: dict[int, tuple[Message, dict, str]] = {}
+
+    def payload(self, value: Any) -> tuple[Any, str]:
+        """``(encode_payload(value), canonical_json(...) of it)``."""
+        entry = self._payloads.get(id(value))
+        if entry is None:
+            encoded, canonical = self._encode(value)
+            entry = self._payloads[id(value)] = (value, encoded, canonical)
+        return entry[1], entry[2]
+
+    def _encode(self, value: Any) -> tuple[Any, str]:
+        if value is None or isinstance(value, (bool, int, str)):
+            encoded = {"k": "lit", "v": value}
+            return encoded, canonical_json(encoded)
+        if isinstance(value, bytes):
+            encoded = {"k": "bytes", "v": value.hex()}
+            return encoded, canonical_json(encoded)
+        if isinstance(value, tuple):
+            elements = [self.payload(element) for element in value]
+            return (
+                {"k": "tuple", "v": [encoded for encoded, _ in elements]},
+                '{"k":"tuple","v":['
+                + ",".join(canonical for _, canonical in elements)
+                + "]}",
+            )
+        if isinstance(value, frozenset):
+            elements = [self.payload(element) for element in value]
+            elements.sort(key=_CANONICAL)  # canonical order, see above
+            return (
+                {"k": "fset", "v": [encoded for encoded, _ in elements]},
+                '{"k":"fset","v":['
+                + ",".join(canonical for _, canonical in elements)
+                + "]}",
+            )
+        encoded = self._encode_signed(value)
+        return encoded, canonical_json(encoded)
+
+    def _encode_signed(self, value: Any) -> dict:
+        from repro.crypto.chains import SignedChain
+        from repro.crypto.signatures import Signature
+        from repro.protocols.external_validity import Transaction
+
+        if isinstance(value, Signature):
+            return {
+                "k": "sig",
+                "signer": value.signer,
+                "tag": value.tag.hex(),
+            }
+        if isinstance(value, SignedChain):
+            return {
+                "k": "chain",
+                "instance": self.payload(value.instance)[0],
+                "value": self.payload(value.value)[0],
+                "signatures": [
+                    self.payload(signature)[0]
+                    for signature in value.signatures
+                ],
+            }
+        if isinstance(value, Transaction):
+            return {
+                "k": "tx",
+                "client": value.client,
+                "body": self.payload(value.body)[0],
+                "signature": self.payload(value.signature)[0],
+            }
+        raise ReproError(
+            f"cannot serialize payload of type {type(value).__name__}"
+        )
+
+    def message(self, message: Message) -> tuple[dict, str]:
+        """A message's record and its canonical rendering (its sort key)."""
+        entry = self._messages.get(id(message))
+        if entry is None:
+            payload, canonical = self.payload(message.payload)
+            record = {
+                "sender": message.sender,
+                "receiver": message.receiver,
+                "round": message.round,
+                "payload": payload,
+            }
+            entry = self._messages[id(message)] = (
+                message,
+                record,
+                f'{{"payload":{canonical},"receiver":{message.receiver},'
+                f'"round":{message.round},"sender":{message.sender}}}',
+            )
+        return entry[1], entry[2]
+
+
 def encode_payload(value: Any) -> Any:
     """Encode one payload value into JSON-safe structures."""
-    from repro.crypto.chains import SignedChain
-    from repro.crypto.signatures import Signature
-    from repro.protocols.external_validity import Transaction
-
-    if value is None or isinstance(value, (bool, int, str)):
-        return {"k": "lit", "v": value}
-    if isinstance(value, bytes):
-        return {"k": "bytes", "v": value.hex()}
-    if isinstance(value, Signature):
-        return {
-            "k": "sig",
-            "signer": value.signer,
-            "tag": value.tag.hex(),
-        }
-    if isinstance(value, SignedChain):
-        return {
-            "k": "chain",
-            "instance": encode_payload(value.instance),
-            "value": encode_payload(value.value),
-            "signatures": [
-                encode_payload(signature)
-                for signature in value.signatures
-            ],
-        }
-    if isinstance(value, Transaction):
-        return {
-            "k": "tx",
-            "client": value.client,
-            "body": encode_payload(value.body),
-            "signature": encode_payload(value.signature),
-        }
-    if isinstance(value, tuple):
-        return {
-            "k": "tuple",
-            "v": [encode_payload(element) for element in value],
-        }
-    if isinstance(value, frozenset):
-        encoded = [encode_payload(element) for element in value]
-        encoded.sort(key=canonical_json)  # canonical order, see above
-        return {"k": "fset", "v": encoded}
-    raise ReproError(
-        f"cannot serialize payload of type {type(value).__name__}"
-    )
+    return PayloadEncoder().payload(value)[0]
 
 
 def decode_payload(data: Any) -> Any:
@@ -156,15 +229,6 @@ def decode_payload(data: Any) -> Any:
     raise ReproError(f"unknown payload kind {kind!r}")
 
 
-def _encode_message(message: Message) -> dict:
-    return {
-        "sender": message.sender,
-        "receiver": message.receiver,
-        "round": message.round,
-        "payload": encode_payload(message.payload),
-    }
-
-
 def _decode_message(data: dict) -> Message:
     return Message(
         sender=data["sender"],
@@ -174,25 +238,27 @@ def _decode_message(data: dict) -> Message:
     )
 
 
-def _encode_messages(messages: frozenset[Message]) -> list:
-    encoded = [_encode_message(message) for message in messages]
-    encoded.sort(key=canonical_json)
-    return encoded
+def _encode_messages(
+    messages: frozenset[Message], encoder: PayloadEncoder
+) -> list:
+    encoded = [encoder.message(message) for message in messages]
+    encoded.sort(key=_CANONICAL)
+    return [record for record, _ in encoded]
 
 
 def _decode_messages(data: list) -> frozenset[Message]:
     return frozenset(_decode_message(entry) for entry in data)
 
 
-def _encode_state(state: StateSnapshot) -> dict:
+def _encode_state(state: StateSnapshot, encoder: PayloadEncoder) -> dict:
     return {
         "process": state.process,
         "round": state.round,
-        "proposal": encode_payload(state.proposal),
+        "proposal": encoder.payload(state.proposal)[0],
         "decision": (
             None
             if state.decision is None
-            else encode_payload(state.decision)
+            else encoder.payload(state.decision)[0]
         ),
     }
 
@@ -210,13 +276,15 @@ def _decode_state(data: dict) -> StateSnapshot:
     )
 
 
-def _encode_fragment(fragment: Fragment) -> dict:
+def _encode_fragment(fragment: Fragment, encoder: PayloadEncoder) -> dict:
     return {
-        "state": _encode_state(fragment.state),
-        "sent": _encode_messages(fragment.sent),
-        "send_omitted": _encode_messages(fragment.send_omitted),
-        "received": _encode_messages(fragment.received),
-        "receive_omitted": _encode_messages(fragment.receive_omitted),
+        "state": _encode_state(fragment.state, encoder),
+        "sent": _encode_messages(fragment.sent, encoder),
+        "send_omitted": _encode_messages(fragment.send_omitted, encoder),
+        "received": _encode_messages(fragment.received, encoder),
+        "receive_omitted": _encode_messages(
+            fragment.receive_omitted, encoder
+        ),
     }
 
 
@@ -230,13 +298,13 @@ def _decode_fragment(data: dict) -> Fragment:
     )
 
 
-def _encode_behavior(behavior: Behavior) -> dict:
+def _encode_behavior(behavior: Behavior, encoder: PayloadEncoder) -> dict:
     return {
         "fragments": [
-            _encode_fragment(fragment)
+            _encode_fragment(fragment, encoder)
             for fragment in behavior.fragments
         ],
-        "final_state": _encode_state(behavior.final_state),
+        "final_state": _encode_state(behavior.final_state, encoder),
     }
 
 
@@ -250,15 +318,24 @@ def _decode_behavior(data: dict) -> Behavior:
     )
 
 
-def execution_to_dict(execution: Execution) -> dict:
-    """Encode an execution as a JSON-safe dictionary."""
+def execution_to_dict(
+    execution: Execution, encoder: PayloadEncoder | None = None
+) -> dict:
+    """Encode an execution as a JSON-safe dictionary.
+
+    Pass one ``encoder`` to encode several executions that share
+    messages and payloads (the executions of one certificate); each is
+    then encoded once.
+    """
+    if encoder is None:
+        encoder = PayloadEncoder()
     return {
         "format": FORMAT_VERSION,
         "n": execution.n,
         "t": execution.t,
         "faulty": sorted(execution.faulty),
         "behaviors": [
-            _encode_behavior(behavior)
+            _encode_behavior(behavior, encoder)
             for behavior in execution.behaviors
         ],
     }

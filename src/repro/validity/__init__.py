@@ -8,70 +8,43 @@
 * :mod:`repro.validity.containment` — the ⊇ relation, ``Cnt(c)`` and the
   Lemma-7 intersection.
 * :mod:`repro.validity.triviality` — the trivial/non-trivial divide.
+
+Every exported name is imported on first access (PEP 562, see
+:mod:`repro.lazy`), so importing one submodule does not load its
+siblings.
 """
 
-from repro.validity.containment import (
-    admissible_under_containment,
-    check_partial_order_axioms,
-    containment_set,
-    contains,
-)
-from repro.validity.input_config import (
-    InputConfig,
-    count_input_configs,
-    enumerate_full_configs,
-    enumerate_input_configs,
-)
-from repro.validity.property import (
-    AgreementProblem,
-    ValidityFn,
-    cached,
-    problem_from_table,
-    tabulate,
-)
-from repro.validity.standard import (
-    ABSENT,
-    STANDARD_PROBLEMS,
-    byzantine_broadcast_problem,
-    constant_problem,
-    correct_proposal_problem,
-    external_validity_problem,
-    interactive_consistency_problem,
-    strong_consensus_problem,
-    vector_consensus_problem,
-    weak_consensus_problem,
-)
-from repro.validity.triviality import (
-    TrivialityReport,
-    is_trivial,
-    triviality_report,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ABSENT",
-    "AgreementProblem",
-    "InputConfig",
-    "vector_consensus_problem",
-    "STANDARD_PROBLEMS",
-    "TrivialityReport",
-    "ValidityFn",
-    "admissible_under_containment",
-    "byzantine_broadcast_problem",
-    "cached",
-    "check_partial_order_axioms",
-    "constant_problem",
-    "containment_set",
-    "contains",
-    "correct_proposal_problem",
-    "count_input_configs",
-    "enumerate_full_configs",
-    "enumerate_input_configs",
-    "external_validity_problem",
-    "interactive_consistency_problem",
-    "is_trivial",
-    "problem_from_table",
-    "strong_consensus_problem",
-    "tabulate",
-    "triviality_report",
-    "weak_consensus_problem",
-]
+_ORIGINS = {
+    "admissible_under_containment": "repro.validity.containment",
+    "check_partial_order_axioms": "repro.validity.containment",
+    "containment_set": "repro.validity.containment",
+    "contains": "repro.validity.containment",
+    "InputConfig": "repro.validity.input_config",
+    "count_input_configs": "repro.validity.input_config",
+    "enumerate_full_configs": "repro.validity.input_config",
+    "enumerate_input_configs": "repro.validity.input_config",
+    "AgreementProblem": "repro.validity.property",
+    "ValidityFn": "repro.validity.property",
+    "cached": "repro.validity.property",
+    "problem_from_table": "repro.validity.property",
+    "tabulate": "repro.validity.property",
+    "ABSENT": "repro.validity.standard",
+    "STANDARD_PROBLEMS": "repro.validity.standard",
+    "byzantine_broadcast_problem": "repro.validity.standard",
+    "constant_problem": "repro.validity.standard",
+    "correct_proposal_problem": "repro.validity.standard",
+    "external_validity_problem": "repro.validity.standard",
+    "interactive_consistency_problem": "repro.validity.standard",
+    "strong_consensus_problem": "repro.validity.standard",
+    "vector_consensus_problem": "repro.validity.standard",
+    "weak_consensus_problem": "repro.validity.standard",
+    "TrivialityReport": "repro.validity.triviality",
+    "is_trivial": "repro.validity.triviality",
+    "triviality_report": "repro.validity.triviality",
+}
+
+__all__ = sorted(_ORIGINS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _ORIGINS)

@@ -20,6 +20,7 @@ import repro.obs.ledger
 import repro.obs.export
 import repro.obs.metrics
 import repro.obs.telemetry
+import repro.registry
 import repro.service.protocol
 import repro.service.queue
 import repro.service.quota
@@ -36,6 +37,7 @@ DOCUMENTED_MODULES = [
     repro.obs.export,
     repro.obs.metrics,
     repro.obs.telemetry,
+    repro.registry,
     repro.service.protocol,
     repro.service.queue,
     repro.service.quota,

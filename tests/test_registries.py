@@ -41,3 +41,70 @@ class TestCheaterRegistry:
         spec = CHEATERS[name](n, t)
         messages = spec.run_uniform(0).message_complexity()
         assert messages < n * (n - 1)
+
+
+def _subcommands():
+    """``{name: subparser}`` of the CLI's command tree."""
+    from repro.cli import build_parser
+
+    (action,) = [
+        action
+        for action in build_parser()._actions
+        if action.dest == "command"
+    ]
+    return action.choices
+
+
+def _choices(command, dest):
+    (action,) = [
+        action
+        for action in _subcommands()[command]._actions
+        if action.dest == dest
+    ]
+    return list(action.choices)
+
+
+class TestNameTables:
+    """The CLI's names come from :mod:`repro.registry`, and each name
+    resolves to what the runtime tables hold."""
+
+    def test_attackable_names(self):
+        from repro.registry import ATTACKABLE, resolve_builder
+
+        assert list(ATTACKABLE) == [
+            *sorted(CHEATERS), "correct", "naive-flooding"
+        ]
+        for name in ATTACKABLE:
+            assert callable(resolve_builder(name))
+        for command, dest in (
+            ("attack", "protocol"),
+            ("verify-witness", "protocol"),
+            ("verify-cert", "replay"),
+        ):
+            assert _choices(command, dest) == list(ATTACKABLE)
+        assert _choices("certify", "protocol") == [*ATTACKABLE, "matrix"]
+
+    def test_experiment_ids(self):
+        from repro.registry import EXPERIMENTS, resolve
+
+        assert list(EXPERIMENTS) == list(ALL_EXPERIMENTS)
+        for experiment_id, path in EXPERIMENTS.items():
+            assert resolve(path) is ALL_EXPERIMENTS[experiment_id]
+            assert experiment_id in _subcommands()
+
+    def test_builders(self):
+        from repro.registry import CORRECT, registered_builders, resolve_builder
+
+        assert registered_builders() == sorted({*CHEATERS, *CORRECT})
+        for name in registered_builders():
+            assert callable(resolve_builder(name))
+        for name, build in CHEATERS.items():
+            assert resolve_builder(name) is build
+        assert _choices("sweep", "protocol") == registered_builders()
+
+    def test_problems(self):
+        from repro.registry import registered_problems, resolve_problem
+
+        for name in registered_problems():
+            assert callable(resolve_problem(name))
+        assert _choices("classify", "problem") == registered_problems()
